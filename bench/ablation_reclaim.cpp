@@ -5,15 +5,15 @@
 /// implementation doesn't reclaim the logs of garbage transactions
 /// whose concurrent transactions have also terminated").
 ///
-/// Runs a long counter workload on the threaded runtime with and
-/// without reclamation and reports the retained history size and wall
-/// time.
+/// Runs a long counter workload on the real-thread engine (one shard)
+/// with and without reclamation and reports the retained history size
+/// and wall time.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 #include "janus/support/Format.h"
 
 #include <chrono>
@@ -33,7 +33,11 @@ Result runOnce(bool Reclaim, int NumTasks) {
   ObjectRegistry Reg;
   ObjectId Obj = Reg.registerObject("work");
   WriteSetDetector D;
-  ThreadedRuntime R(Reg, D, ThreadedConfig{4, false, Reclaim});
+  ShardedConfig Cfg;
+  Cfg.NumThreads = 4;
+  Cfg.NumShards = 1;
+  Cfg.ReclaimLogs = Reclaim;
+  ShardedRuntime R(Reg, D, Cfg);
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != NumTasks; ++I)
     Tasks.push_back([Obj](TxContext &Tx) { Tx.add(Location(Obj), 1); });
@@ -53,7 +57,7 @@ Result runOnce(bool Reclaim, int NumTasks) {
 int main(int Argc, char **Argv) {
   bench::BenchReport Report("ablation_reclaim", Argc, Argv);
   std::printf("Ablation: committed-log reclamation "
-              "(threaded runtime, 4 threads)\n\n");
+              "(real-thread engine, 1 shard, 4 threads)\n\n");
   TextTable T;
   T.setHeader({"tasks", "mode", "history records kept", "wall time"});
   for (int NumTasks : {500, 2000, 8000}) {

@@ -1,19 +1,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Commit-path microbenchmark: begin/commit throughput of the threaded
-/// runtime against a faithful replica of the coarse-locked design it
-/// replaced.
+/// Commit-path microbenchmark: begin/commit throughput of the real-thread
+/// engine (stm::ShardedRuntime) against a faithful replica of the
+/// coarse-locked design it replaced.
 ///
-/// The pre-refactor `ThreadedRuntime` funneled every CREATETRANSACTION
-/// through a `std::shared_mutex` read-lock (plus an O(n) mutex-guarded
+/// The pre-refactor runtime funneled every CREATETRANSACTION through a
+/// `std::shared_mutex` read-lock (plus an O(n) mutex-guarded
 /// ActiveBegins list), copied the conflict-history window per
 /// validation round, and replayed the log *inside* the exclusive
 /// section. `CoarseRuntime` below reproduces that hot path verbatim so
 /// the comparison stays meaningful on any machine, independent of git
-/// history. The scalable runtime publishes snapshots via one atomic
-/// pointer, borrows the history window from the segmented log, and
-/// pre-replays outside the commit mutex.
+/// history. The "scalable" rows run the engine at one shard — a single
+/// commit point that publishes snapshots via one atomic pointer,
+/// borrows the history window from the segmented log, and pre-replays
+/// outside the commit mutex.
 ///
 /// Scenarios:
 ///   empty      — tasks log nothing: pure begin/commit overhead.
@@ -54,7 +55,6 @@
 
 #include "janus/conflict/SequenceDetector.h"
 #include "janus/stm/ShardedRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
 
 #include <algorithm>
 #include <array>
@@ -360,6 +360,16 @@ std::unique_ptr<ConflictDetector> makeDetector(const std::string &Kind) {
       std::make_shared<conflict::CommutativityCache>(), Cfg);
 }
 
+/// The real-thread engine at \p Shards shards, reclamation on.
+ShardedConfig engineConfig(unsigned Threads, unsigned Shards, bool Ordered) {
+  ShardedConfig Cfg;
+  Cfg.NumThreads = Threads;
+  Cfg.NumShards = Shards;
+  Cfg.Ordered = Ordered;
+  Cfg.ReclaimLogs = true;
+  return Cfg;
+}
+
 /// One timed repetition on a fresh runtime; \returns ns per committed
 /// transaction.
 template <typename MakeRuntime>
@@ -451,9 +461,8 @@ int main(int Argc, char **Argv) {
         RunResult Scalable = measure(
             S, Det, S.Tasks, Reps, [N, &S](const ObjectRegistry &Reg,
                                            ConflictDetector &D) {
-              return std::make_unique<ThreadedRuntime>(
-                  Reg, D,
-                  ThreadedConfig{N, S.Ordered, /*ReclaimLogs=*/true});
+              return std::make_unique<ShardedRuntime>(
+                  Reg, D, engineConfig(N, /*Shards=*/1, S.Ordered));
             });
         double Ratio = Scalable.NsPerCommit > 0.0
                            ? Coarse.NsPerCommit / Scalable.NsPerCommit
@@ -491,8 +500,8 @@ int main(int Argc, char **Argv) {
 
   // -------------------------------------------------------------------
   // Sharded pipeline: shard-count sweep (location-sharded commit
-  // points, per-shard history and detection windows). The scalable
-  // ThreadedRuntime runs the same task set as the unsharded reference.
+  // points, per-shard history and detection windows). The 1-shard
+  // column is the single-commit-point reference.
   // -------------------------------------------------------------------
   const std::vector<unsigned> ShardCounts{1, 4, 16};
   const Scenario ShardScenarios[] = {
@@ -504,37 +513,16 @@ int main(int Argc, char **Argv) {
               WritesPerTask);
   for (const Scenario &S : ShardScenarios) {
     TextTable T;
-    T.setHeader({"threads", "scalable ns/commit", "1 shard", "4 shards",
-                 "16 shards", "1sh/16sh"});
+    T.setHeader({"threads", "1 shard", "4 shards", "16 shards", "1sh/16sh"});
     for (unsigned N : Threads) {
-      RunResult Scalable = measure(
-          S, "ws", S.Tasks, Reps,
-          [N](const ObjectRegistry &Reg, ConflictDetector &D) {
-            return std::make_unique<ThreadedRuntime>(
-                Reg, D, ThreadedConfig{N, /*Ordered=*/false,
-                                       /*ReclaimLogs=*/true});
-          });
-      Report.addRow({{"engine", "scalable"},
-                     {"detector", "ws"},
-                     {"scenario", S.Name},
-                     {"ordered", false},
-                     {"threads", N},
-                     {"tasks", S.Tasks},
-                     {"ns_per_commit", Scalable.NsPerCommit},
-                     {"commits", Scalable.Commits},
-                     {"retries", Scalable.Retries}});
-      std::vector<std::string> Row{std::to_string(N),
-                                   formatDouble(Scalable.NsPerCommit, 0)};
+      std::vector<std::string> Row{std::to_string(N)};
       double Sh1 = 0.0, Sh16 = 0.0;
       for (unsigned NS : ShardCounts) {
         RunResult R = measure(
             S, "ws", S.Tasks, Reps,
             [N, NS](const ObjectRegistry &Reg, ConflictDetector &D) {
-              ShardedConfig Cfg;
-              Cfg.NumThreads = N;
-              Cfg.NumShards = NS;
-              Cfg.ReclaimLogs = true;
-              return std::make_unique<ShardedRuntime>(Reg, D, Cfg);
+              return std::make_unique<ShardedRuntime>(
+                  Reg, D, engineConfig(N, NS, /*Ordered=*/false));
             });
         if (NS == 1)
           Sh1 = R.NsPerCommit;

@@ -20,9 +20,10 @@
 ///      gate checks committed/s stays within the tolerance of
 ///      baseline (default 20%, the ROADMAP acceptance bound).
 ///
-/// Scenarios run on the threaded engine and on the location-sharded
-/// pipeline (8 shards). Every run must end *clean*: exactly one
-/// terminal reply per submission and a drain inside the hard deadline.
+/// Scenarios run on the real-thread engine at 1 shard (rows labelled
+/// `threaded`) and at 8 shards (`sharded`). Every run must end *clean*:
+/// exactly one terminal reply per submission and a drain inside the
+/// hard deadline.
 ///
 /// Rows ({engine, scenario, offered_rate, committed_per_s, sheds,
 /// retry_ratio, ...}) land in BENCH_serve_soak.json via the shared

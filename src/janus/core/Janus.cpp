@@ -165,21 +165,11 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
     Outcome.ParallelTime = Sim.ParallelTime;
     Outcome.SequentialTime = Sim.SequentialTime;
     Outcome.Failures = std::move(Sim.Failures);
-    Stats.Tasks += Runtime.stats().Tasks.load();
-    Stats.Commits += Runtime.stats().Commits.load();
-    Stats.Retries += Runtime.stats().Retries.load();
-    Stats.ConflictChecks += Runtime.stats().ConflictChecks.load();
-    Stats.TraceEvents += Runtime.stats().TraceEvents.load();
-    Stats.EscapedAccesses += Runtime.stats().EscapedAccesses.load();
-    Stats.SerialFallbacks += Runtime.stats().SerialFallbacks.load();
-    Stats.TaskExceptions += Runtime.stats().TaskExceptions.load();
-    Stats.TaskFailures += Runtime.stats().TaskFailures.load();
-    Stats.FaultsInjected += Runtime.stats().FaultsInjected.load();
-    Stats.CancelledTasks += Runtime.stats().CancelledTasks.load();
+    Stats.add(Runtime.stats());
     return Outcome;
   }
 
-  // Threaded engine: time the sequential baseline on a state copy, then
+  // Real threads: time the sequential baseline on a state copy, then
   // the parallel run on the live state.
   using Clock = std::chrono::steady_clock;
   {
@@ -202,66 +192,21 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
         std::chrono::duration<double>(Clock::now() - Start).count();
   }
 
-  // Accumulates one runtime's per-run counters into the cumulative
-  // instance statistics.
-  auto MergeStats = [this](const stm::RunStats &R) {
-    Stats.Tasks += R.Tasks.load();
-    Stats.Commits += R.Commits.load();
-    Stats.Retries += R.Retries.load();
-    Stats.ConflictChecks += R.ConflictChecks.load();
-    Stats.ValidationFailures += R.ValidationFailures.load();
-    Stats.TraceEvents += R.TraceEvents.load();
-    Stats.EscapedAccesses += R.EscapedAccesses.load();
-    Stats.SerialFallbacks += R.SerialFallbacks.load();
-    Stats.TaskExceptions += R.TaskExceptions.load();
-    Stats.TaskFailures += R.TaskFailures.load();
-    Stats.FaultsInjected += R.FaultsInjected.load();
-    Stats.CrossShardCommits += R.CrossShardCommits.load();
-    Stats.EmptyCommits += R.EmptyCommits.load();
-    Stats.CancelledTasks += R.CancelledTasks.load();
-  };
-
-  if (Config.Shards > 1) {
-    // Location-sharded commit pipeline: per-shard histories, detection
-    // windows and commit points (DESIGN.md §11).
-    stm::ShardedConfig ShardCfg;
-    ShardCfg.NumThreads = Config.Threads;
-    ShardCfg.NumShards = Config.Shards;
-    ShardCfg.Ordered = Ordered;
-    ShardCfg.ReclaimLogs = Config.ReclaimLogs;
-    ShardCfg.RecordTrace = Config.RecordTrace;
-    ShardCfg.HistorySegmentRecords = Config.HistorySegmentRecords;
-    ShardCfg.Resilience = Config.Resilience;
-    ShardCfg.Faults = Config.Faults;
-    ShardCfg.Obs = ObsSink.get();
-    ShardCfg.Cancel = Config.Cancel;
-    ShardCfg.Rec = RecSink.get();
-    stm::ShardedRuntime Runtime(Reg, *Detector, ShardCfg);
-    Runtime.setInitialState(State);
-    auto Start = Clock::now();
-    Runtime.run(Tasks);
-    Outcome.ParallelTime =
-        std::chrono::duration<double>(Clock::now() - Start).count();
-    State = Runtime.sharedState();
-    if (Config.RecordTrace)
-      Trace = Runtime.trace();
-    Outcome.Failures = Runtime.failures();
-    MergeStats(Runtime.stats());
-    return Outcome;
-  }
-
-  stm::ThreadedConfig ThreadCfg;
-  ThreadCfg.NumThreads = Config.Threads;
-  ThreadCfg.Ordered = Ordered;
-  ThreadCfg.ReclaimLogs = Config.ReclaimLogs;
-  ThreadCfg.RecordTrace = Config.RecordTrace;
-  ThreadCfg.HistorySegmentRecords = Config.HistorySegmentRecords;
-  ThreadCfg.Resilience = Config.Resilience;
-  ThreadCfg.Faults = Config.Faults;
-  ThreadCfg.Obs = ObsSink.get();
-  ThreadCfg.Cancel = Config.Cancel;
-  ThreadCfg.Rec = RecSink.get();
-  stm::ThreadedRuntime Runtime(Reg, *Detector, ThreadCfg);
+  // The real-thread engine: per-shard histories, detection windows and
+  // commit points (DESIGN.md §11); one shard is the single commit point.
+  stm::ShardedConfig ShardCfg;
+  ShardCfg.NumThreads = Config.Threads;
+  ShardCfg.NumShards = Config.Shards;
+  ShardCfg.Ordered = Ordered;
+  ShardCfg.ReclaimLogs = Config.ReclaimLogs;
+  ShardCfg.RecordTrace = Config.RecordTrace;
+  ShardCfg.HistorySegmentRecords = Config.HistorySegmentRecords;
+  ShardCfg.Resilience = Config.Resilience;
+  ShardCfg.Faults = Config.Faults;
+  ShardCfg.Obs = ObsSink.get();
+  ShardCfg.Cancel = Config.Cancel;
+  ShardCfg.Rec = RecSink.get();
+  stm::ShardedRuntime Runtime(Reg, *Detector, ShardCfg);
   Runtime.setInitialState(State);
   auto Start = Clock::now();
   Runtime.run(Tasks);
@@ -271,6 +216,6 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
   if (Config.RecordTrace)
     Trace = Runtime.trace();
   Outcome.Failures = Runtime.failures();
-  MergeStats(Runtime.stats());
+  Stats.add(Runtime.stats());
   return Outcome;
 }

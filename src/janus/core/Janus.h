@@ -27,7 +27,6 @@
 #include "janus/obs/Obs.h"
 #include "janus/stm/ShardedRuntime.h"
 #include "janus/stm/SimRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
 #include "janus/training/Trainer.h"
 
 #include <memory>
@@ -43,18 +42,17 @@ enum class DetectorKind : uint8_t {
 
 /// Which execution engine carries the protocol.
 enum class EngineKind : uint8_t {
-  Threaded,  ///< Real std::thread workers; wall-clock timing.
+  Threaded,  ///< Real threads (stm::ShardedRuntime); wall-clock timing.
   Simulated, ///< Deterministic virtual-time multicore (see DESIGN.md).
 };
 
 /// Full configuration of a JANUS instance.
 struct JanusConfig {
   unsigned Threads = 4;
-  /// Commit-pipeline shards for the threaded engine. 1 (the default)
-  /// selects the classic single-commit-point ThreadedRuntime; >1
-  /// selects the location-sharded engine (stm::ShardedRuntime) with
-  /// the value rounded up to a power of two and clamped to
-  /// [1, stm::ShardedRuntime::MaxShards]. Ignored by the simulator.
+  /// Commit-pipeline shards of the real-thread engine
+  /// (stm::ShardedRuntime), rounded up to a power of two and clamped to
+  /// [1, stm::ShardedRuntime::MaxShards]. 1 (the default) is a single
+  /// commit point. Ignored by the simulator.
   unsigned Shards = 1;
   DetectorKind Detector = DetectorKind::Sequence;
   conflict::SequenceDetectorConfig Sequence;
@@ -71,8 +69,9 @@ struct JanusConfig {
   /// sequence-detector memo and unique-query tables); rounded up to a
   /// power of two.
   unsigned DetectionShards = 8;
-  /// Records per committed-history segment in the threaded runtime —
-  /// the granularity at which log reclamation returns memory.
+  /// Records per committed-history segment (per shard) in the
+  /// real-thread engine — the granularity at which log reclamation
+  /// returns memory.
   uint32_t HistorySegmentRecords = 64;
   /// Contention-management policy: exponential backoff, retry budgets,
   /// escalation to the irrevocable serial fallback.

@@ -4,8 +4,8 @@
 /// The observability façade the engines are wired through.
 ///
 /// An `Observer` bundles the trace buffer, the metrics registry and the
-/// sampling decision behind the one pointer both runtimes carry
-/// (`ThreadedConfig::Obs` / `SimConfig::Obs`, nullptr = observability
+/// sampling decision behind the one pointer both engines carry
+/// (`ShardedConfig::Obs` / `SimConfig::Obs`, nullptr = observability
 /// off). The hot-path contract, checked by the micro_commit guard:
 ///
 ///  - **Compile-time off** (`cmake -DJANUS_OBS=OFF` defines
@@ -23,7 +23,7 @@
 ///    by sampling — they stay exact.
 ///
 /// Span timestamps are microseconds since the observer was created
-/// (threaded engine) or virtual-time units (simulator).
+/// (real-thread engine) or virtual-time units (simulator).
 ///
 //===----------------------------------------------------------------------===//
 

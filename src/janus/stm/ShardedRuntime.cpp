@@ -111,15 +111,18 @@ ShardedRuntime::~ShardedRuntime() {
 
 void ShardedRuntime::setInitialState(Snapshot S) {
   // Split the store by location routing, then swap every shard's slice
-  // under all shard mutexes. Like ThreadedRuntime::setInitialState,
-  // this is meant for configuration *before* running: a swap preserves
-  // each shard's version, so an attempt in flight across the swap
-  // could conflate the old and new slices.
+  // under all shard mutexes. This is meant for configuration *before*
+  // running: a swap preserves each shard's version, so an attempt in
+  // flight across the swap could conflate the old and new slices. One
+  // shard owns every location, so it takes the store as is (O(1)).
   std::vector<Snapshot> Parts(NumShards);
-  S.forEach([this, &Parts](const Location &L, const Value &V) {
-    uint32_t Idx = shardIndexOf(L, NumShards);
-    Parts[Idx] = Parts[Idx].set(L, V);
-  });
+  if (NumShards == 1)
+    Parts[0] = std::move(S);
+  else
+    S.forEach([this, &Parts](const Location &L, const Value &V) {
+      uint32_t Idx = shardIndexOf(L, NumShards);
+      Parts[Idx] = Parts[Idx].set(L, V);
+    });
   for (uint32_t I = 0; I != NumShards; ++I)
     Shards[I].CommitMutex.lock();
   for (uint32_t I = 0; I != NumShards; ++I) {
@@ -143,11 +146,12 @@ Snapshot ShardedRuntime::sharedState() const {
   // A cross-shard-consistent cut needs every shard's commit point held
   // at once: a cross-shard commit publishes its shards while holding
   // all their mutexes, so it is either entirely visible here or not at
-  // all. Shard key sets are disjoint; merge order is immaterial.
+  // all. Shard key sets are disjoint, so the merge starts from shard
+  // 0's slice (O(1) at one shard) and inserts the others into it.
   for (uint32_t I = 0; I != NumShards; ++I)
     Shards[I].CommitMutex.lock();
-  Snapshot Out;
-  for (uint32_t I = 0; I != NumShards; ++I) {
+  Snapshot Out = Shards[0].Published.load(std::memory_order_relaxed)->State;
+  for (uint32_t I = 1; I != NumShards; ++I) {
     const ShardState *P = Shards[I].Published.load(std::memory_order_relaxed);
     P->State.forEach([&Out](const Location &L, const Value &V) {
       Out = Out.set(L, V);
@@ -281,10 +285,12 @@ void ShardedRuntime::recordEvent(WorkerSlot &Worker, uint32_t Tid,
 void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
   if (!Config.Ordered)
     return;
-  // Identical handoff to ThreadedRuntime: task Tid's turn comes when
-  // the global Clock reaches OrderBase + Tid (every preceding task
-  // committed exactly one tick — speculative, serial, empty or
-  // placeholder alike).
+  // Task Tid's turn comes when the global Clock reaches OrderBase + Tid
+  // (every preceding task committed exactly one tick — speculative,
+  // serial, empty or placeholder alike). Register under OrderMutex so
+  // the handoff cannot race the committer that bumps the Clock to
+  // Target: it bumps the Clock first, then takes OrderMutex to look us
+  // up.
   uint64_t Target = OrderBase.load(std::memory_order_acquire) + Tid;
   std::unique_lock<std::mutex> Guard(OrderMutex);
   if (Clock.load(std::memory_order_acquire) < Target) {
@@ -299,6 +305,10 @@ void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
 void ShardedRuntime::notifySuccessor(uint64_t CommitTime) {
   if (!Config.Ordered)
     return;
+  // Hand the turn to the one transaction this commit made eligible (its
+  // Target equals CommitTime): a commit wakes one thread, not every
+  // waiter. An absent entry means the successor has not reached its
+  // wait yet; it will see the Clock on its own.
   std::lock_guard<std::mutex> Guard(OrderMutex);
   auto It = OrderWaiters.find(CommitTime);
   if (It != OrderWaiters.end())
@@ -319,7 +329,10 @@ void ShardedRuntime::recycleShardStates(uint32_t S) {
   // JANUS_LINT_ALLOW(snapshot-hazard-scope): every caller holds
   // Sh.CommitMutex, which guards this shard's free path.
   ShardState *Cur = Sh.Published.load(std::memory_order_relaxed);
-  // Recycle the unreferenced chain prefix. Hazard slots are compared
+  // Recycle the unreferenced chain prefix. The walk stops at the first
+  // hazarded state, so a hazard keeps its state *and every newer one*
+  // allocated — an attempt's validation rounds read newer states under
+  // the hazard it published at acquisition. Hazard slots are compared
   // by address against live chain members only — a slot transiently
   // naming an already-recycled pointer can at worst alias a live
   // state and delay its recycling, never resurrect a dead one.
@@ -511,19 +524,15 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
     uint32_t ConflictShard = 0;
     for (uint32_t I = 0; I != NumTouched && !Conflict; ++I) {
       const uint32_t S = Touched[I];
-      Shard &Sh = Shards[S];
       AttemptShard &A = Worker.Attempt[S];
-      // Refresh the shard's published state (validated hazard
-      // publication, as in acquireShard). The hazard moves forward to
-      // the refreshed state; the entry state stays safe to *use*
-      // because the attempt holds persistent copies (View::Entry, the
-      // window's segment refs) — only the pointer goes stale.
-      std::atomic<ShardState *> &Hz = Worker.Hazards[S];
-      ShardState *P = nullptr;
-      do {
-        P = Sh.Published.load(std::memory_order_seq_cst);
-        Hz.store(P, std::memory_order_seq_cst);
-      } while (Sh.Published.load(std::memory_order_seq_cst) != P);
+      // Refresh the shard's published state. The hazard acquireShard
+      // published stays on the entry state for the whole attempt, and
+      // recycling frees only the chain prefix older than a hazarded
+      // state, so this state (the entry state or a newer one) stays
+      // allocated without a hazard store per round.
+      // JANUS_LINT_ALLOW(snapshot-hazard-scope): the entry hazard covers
+      // every newer state of the shard's chain.
+      ShardState *P = Shards[S].Published.load(std::memory_order_acquire);
       A.Now = P;
       const uint64_t NowVer = P->Version;
       if (NowVer == A.Detected)
@@ -610,8 +619,9 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
     bool Valid = true;
     for (uint32_t I = 0; I != NumTouched; ++I) {
       const uint32_t S = Touched[I];
-      // Pointer identity is exact here: A.Now is hazard-protected, so
-      // it cannot have been recycled and re-published.
+      // Pointer identity is exact here: A.Now is the hazarded entry
+      // state or newer, so it cannot have been recycled and
+      // re-published.
       if (Shards[S].Published.load(std::memory_order_relaxed) !=
           Worker.Attempt[S].Now) {
         Valid = false;
@@ -642,6 +652,11 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
       Next->Newer = nullptr;
       A.Now->Newer = Next;
       Sh.Published.store(Next, std::memory_order_seq_cst);
+      // Drop our own hazard before recycling, so our entry state is
+      // recycled now, while our view still references its slice: the
+      // slice is then freed by releaseAttempt, after the turn handoff,
+      // not by the next committer under its lock.
+      Worker.Hazards[S].store(nullptr, std::memory_order_seq_cst);
       recycleShardStates(S);
     }
     for (uint32_t I = NumTouched; I--;)
@@ -662,8 +677,10 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
                static_cast<uint8_t>(CommitMode::Speculative));
     recordEvent(Worker, Tid, Mask, ClockAtBegin, CommitTime,
                 /*Committed=*/true, std::move(Log));
-    releaseAttempt(Worker, Mask);
+    // Hand the turn off before freeing the attempt's private copies:
+    // in ordered mode the successor waits on exactly this call.
     notifySuccessor(CommitTime);
+    releaseAttempt(Worker, Mask);
     return AttemptResult::Committed;
   }
 }
@@ -740,6 +757,7 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
       Next->Newer = nullptr;
       A.Now->Newer = Next;
       Sh.Published.store(Next, std::memory_order_seq_cst);
+      Worker.Hazards[S].store(nullptr, std::memory_order_seq_cst);
       recycleShardStates(S);
     }
     if ((EffectMask & (EffectMask - 1)) != 0)
@@ -763,8 +781,8 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
                 0, static_cast<uint8_t>(Mode));
   recordEvent(Worker, Tid, EffectMask, CommitTime - 1, CommitTime,
               /*Committed=*/true, std::move(Log), Mode);
-  releaseAttempt(Worker, Mask);
   notifySuccessor(CommitTime);
+  releaseAttempt(Worker, Mask);
 }
 
 void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {

@@ -1,22 +1,44 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The location-sharded commit pipeline.
+/// The JANUS parallelization protocol on real threads (paper Figure 7),
+/// with a location-sharded commit pipeline.
 ///
-/// The scalable runtime (ThreadedRuntime) still funnels every commit
-/// through one snapshot-publication point and one history log — the
-/// bottleneck BENCH_micro_commit names. This engine partitions the
-/// object space into N location-keyed shards (power of two, routed by
-/// `shardIndexOf(Location)`), each owning its own
+/// DOPARALLEL runs the input tasks asynchronously until the pool is
+/// drained, retrying each task until it commits. Each attempt:
+///   1. CREATETRANSACTION — distributed over the shards the body
+///      touches: the first access to a location in shard s
+///      hazard-protects s's atomically published state and copies its
+///      slice (O(1), persistent). No lock: publication is a pointer
+///      swap, begins are pointer loads.
+///   2. RUNSEQUENTIAL — run the task body against the privatized
+///      slices.
+///   3. If ordered, wait until the global Clock reaches the task id
+///      (all preceding tasks committed); each committer hands the turn
+///      directly to its successor's condition variable, so a commit
+///      wakes one thread, not every waiter.
+///   4. Loop, per touched shard: read `now` from the published state;
+///      extend the transaction's borrowed view of the shard's
+///      committed-history window to (begin, now] (lock-free segment
+///      walk, incremental across rounds); DETECTCONFLICTS — on
+///      conflict, abort (retry from the start). Otherwise replay the log
+///      onto the published slice *outside* any lock, then COMMIT:
+///      under the shard mutexes, re-validate that every published
+///      state is still the one the replay started from, append the
+///      log to the histories, and swap in the new slices. The
+///      exclusive section is a clock bump plus pointer stores.
+///
+/// The object space is partitioned into N location-keyed shards (power
+/// of two, routed by `shardIndexOf(Location)`), each owning its own
 ///
 ///  - published snapshot slice (the shard's subset of the store),
 ///  - append-only `HistoryLog` segment chain, keyed by a *dense
 ///    per-shard version* (one bump per commit that touched the shard),
 ///  - commit mutex (the shard's commit point).
 ///
-/// A transaction acquires shards lazily: the first access to a
-/// location in shard s hazard-protects s's published state and copies
-/// its slice as that shard's entry snapshot (TxContext::ShardBackend).
+/// One shard (the JanusConfig default) is the single commit point:
+/// every commit publishes through one pointer and one history log.
+/// More shards remove that bottleneck for disjoint footprints.
 /// Detection runs per acquired shard against the shard's own history
 /// window — sound because conflict detection decomposes per location
 /// (paper §5.3), and a location's window records live exactly in its
@@ -35,7 +57,7 @@
 /// Every committed transaction — empty, single-, or cross-shard —
 /// stamps one tick of a dense global clock (`Clock.fetch_add(1)`), so
 /// the total commit order of Theorem 4.1 and the ordered-mode turn
-/// handoff work exactly as in the unsharded engine, while per-shard
+/// handoff are independent of the shard count, while per-shard
 /// histories stay dense in their own version space. The auditor
 /// reconstructs the total order from the global stamps and refines
 /// per-location begin points from the recorded shard-acquisition
@@ -44,9 +66,34 @@
 /// State lifetime is epoch-style, per shard: workers advertise the
 /// shard states they begin from in per-(worker, shard) hazard slots
 /// (validated store-then-recheck publication, all seq_cst); a
-/// committer frees — or rather recycles through a per-shard pool —
-/// the chain prefix no hazard references. See ShardedRuntime.cpp for
-/// the Dekker-style argument.
+/// committer recycles through a per-shard pool the chain prefix no
+/// hazard references, and (with ReclaimLogs, the engineering
+/// improvement of §7.2) the history records below it. See
+/// ShardedRuntime.cpp for the Dekker-style argument.
+///
+/// Lock hierarchy: OrderMutex and the shard CommitMutexes never nest.
+/// waitForTurn blocks under OrderMutex while the predecessor needs its
+/// shard mutexes to advance the Clock, so turns are awaited before any
+/// shard lock is taken and handed off after all are released.
+///
+/// Theorem 4.1: with a sound and valid detector this terminates, and
+/// ordered runs reach the sequential final state while unordered runs
+/// reach the final state of their commit order.
+///
+/// With `RecordTrace` set, every attempt (committed or aborted) is
+/// recorded into per-thread buffers merged into an `AuditTrace` when
+/// run() returns; `janus::analysis` can audit it after the fact.
+///
+/// Robustness (janus::resilience): every abort consults a
+/// `ContentionManager` — retries back off exponentially with
+/// deterministic jitter, and a task starved past its retry budget
+/// escalates to an irrevocable serial fallback under every shard lock.
+/// A task body that throws aborts cleanly (log discarded, hazards
+/// released) and is retried up to a budget, then surfaced as a
+/// structured `TaskFailure` while an empty placeholder commit keeps
+/// the clock dense and ordered successors unblocked. A `FaultPlan`
+/// can deterministically force aborts, inject exceptions, and delay
+/// commits at chosen (task, attempt) coordinates.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,7 +124,7 @@
 namespace janus {
 namespace stm {
 
-/// Configuration of a sharded run.
+/// Configuration of a real-thread run.
 struct ShardedConfig {
   unsigned NumThreads = 4;
   /// Location-keyed shards. Rounded up to a power of two and clamped
@@ -86,11 +133,13 @@ struct ShardedConfig {
   /// In-order execution flag: commit in task order (Figure 7
   /// `ordered`).
   bool Ordered = false;
-  /// Reclaim committed logs no active transaction can still query.
+  /// Reclaim committed logs no active transaction can still query
+  /// (the engineering improvement discussed in §7.2).
   bool ReclaimLogs = false;
   /// Record an AuditTrace of every attempt for hindsight auditing.
   bool RecordTrace = false;
-  /// Records per committed-history segment (per shard).
+  /// Records per committed-history segment (per shard) — the
+  /// granularity at which reclamation returns memory.
   uint32_t HistorySegmentRecords = 64;
   /// Contention-management policy.
   resilience::ResilienceConfig Resilience = {};
@@ -114,13 +163,16 @@ struct ShardedConfig {
 };
 
 /// Runs task sets under optimistic synchronization with per-shard
-/// commit points. API mirrors ThreadedRuntime.
+/// commit points and a pluggable conflict detector.
 class ShardedRuntime {
 public:
   /// Hard cap on the shard count: a transaction's accessed-shard set
   /// is a single uint64_t bitmask.
   static constexpr uint32_t MaxShards = 64;
 
+  /// \param Reg shared-object registry (must outlive the runtime).
+  /// \param Detector conflict-detection algorithm (must outlive the
+  ///        runtime).
   ShardedRuntime(const ObjectRegistry &Reg, ConflictDetector &Detector,
                  ShardedConfig Config);
   ~ShardedRuntime();
@@ -129,7 +181,7 @@ public:
   ShardedRuntime &operator=(const ShardedRuntime &) = delete;
 
   /// Sets the initial configuration of the shared state (split across
-  /// the shards by location routing).
+  /// the shards by location routing; O(1) at one shard).
   void setInitialState(Snapshot S);
 
   /// Executes \p Tasks to completion (DOPARALLEL). Task ids are their
@@ -138,7 +190,8 @@ public:
   void run(const std::vector<TaskFn> &Tasks);
 
   /// \returns the shared state after the last run, merged across
-  /// shards under all shard mutexes (a cross-shard-consistent cut).
+  /// shards under all shard mutexes (a cross-shard-consistent cut;
+  /// O(1) at one shard).
   Snapshot sharedState() const;
 
   const RunStats &stats() const { return Stats; }
@@ -147,12 +200,14 @@ public:
   /// The effective (clamped, power-of-two) shard count.
   uint32_t numShards() const { return NumShards; }
 
-  /// Committed-history records currently retained, summed over shards.
+  /// Committed-history records currently retained, summed over shards
+  /// (for the log-reclamation ablation).
   size_t historySize() const;
 
   /// Task ids (1-based) in global commit order over every run so far
   /// (merged from per-worker buffers, sorted by the dense global
-  /// clock stamps).
+  /// clock stamps). The parallel final state equals a sequential
+  /// execution in this order (Theorem 4.1).
   std::vector<uint32_t> commitOrder() const;
 
   /// \returns the recorded trace (empty unless RecordTrace was set).
@@ -160,7 +215,10 @@ public:
   const AuditTrace &trace() const { return Trace; }
 
   /// Tasks of the last run() whose bodies kept throwing past the
-  /// exception retry budget (placeholder-committed).
+  /// exception retry budget, or were cancelled. Their slots in the
+  /// commit order were filled by empty placeholder commits; their
+  /// effects are absent from the final state. Call only after run()
+  /// has returned.
   const std::vector<resilience::TaskFailure> &failures() const {
     return Failures;
   }
@@ -203,8 +261,9 @@ private:
   /// state, the incremental history window, and the shard projection
   /// of the transaction's log.
   struct AttemptShard {
-    /// Latest state this round runs against; hazard-protected, so
-    /// pointer identity against Published is exact while it is set.
+    /// Latest state this round runs against; the entry state's hazard
+    /// keeps it allocated, so pointer identity against Published is
+    /// exact while it is set.
     ShardState *Now = nullptr;
     /// Shard version at acquisition. Identity of *past* states is
     /// tracked by version, never by pointer: pool recycling can reuse
@@ -227,7 +286,8 @@ private:
   struct alignas(CacheLineSize) WorkerSlot {
     /// Hazard slots, one per shard: the published ShardState this
     /// worker's current attempt begins from in that shard (null =
-    /// none). Committers must not recycle a state a slot references.
+    /// none). Committers must not recycle a state a slot references,
+    /// nor any newer one.
     std::array<std::atomic<ShardState *>, MaxShards> Hazards{};
     /// Per-shard view slots handed to TxContext (ShardBackend
     /// storage); reset between attempts so attempts allocate nothing.
@@ -289,9 +349,11 @@ private:
                    uint64_t FallbackBegin, uint64_t Commit, bool Committed,
                    TxLogRef Log, CommitMode Mode = CommitMode::Speculative);
 
-  /// Ordered-mode turn handoff on the global clock; identical
-  /// protocol to ThreadedRuntime.
+  /// Blocks the calling worker while it waits for its ordered-mode
+  /// commit turn (Clock >= OrderBase + Tid). No-op when unordered.
   void waitForTurn(uint32_t Tid, WorkerSlot &Worker);
+  /// Wakes the ordered-mode waiter (if any) whose turn the commit at
+  /// \p CommitTime made eligible. No-op when unordered.
   void notifySuccessor(uint64_t CommitTime);
 
   /// Recycles the prefix of shard \p S's state chain that no worker
@@ -318,6 +380,11 @@ private:
   std::vector<WorkerSlot> Workers;
 
   std::mutex OrderMutex; ///< Ordered-mode turn registry.
+  /// Ordered-mode handoff: maps a turn (the Clock value that makes a
+  /// waiting transaction eligible) to the waiter's TurnCv, so a
+  /// committer wakes exactly its successor instead of broadcasting to
+  /// every waiting worker. Guarded by OrderMutex; waiters erase their
+  /// own entry once their turn comes.
   std::unordered_map<uint64_t, std::condition_variable *> OrderWaiters;
   std::atomic<uint64_t> OrderBase{0}; ///< Clock at the start of run().
 

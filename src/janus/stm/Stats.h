@@ -66,6 +66,25 @@ struct RunStats {
     CancelledTasks.reset();
   }
 
+  /// Accumulates \p R's counters into this one (a facade's cumulative
+  /// statistics over its runs).
+  void add(const RunStats &R) {
+    Tasks += R.Tasks.load();
+    Commits += R.Commits.load();
+    Retries += R.Retries.load();
+    ConflictChecks += R.ConflictChecks.load();
+    ValidationFailures += R.ValidationFailures.load();
+    TraceEvents += R.TraceEvents.load();
+    EscapedAccesses += R.EscapedAccesses.load();
+    SerialFallbacks += R.SerialFallbacks.load();
+    TaskExceptions += R.TaskExceptions.load();
+    TaskFailures += R.TaskFailures.load();
+    FaultsInjected += R.FaultsInjected.load();
+    CrossShardCommits += R.CrossShardCommits.load();
+    EmptyCommits += R.EmptyCommits.load();
+    CancelledTasks += R.CancelledTasks.load();
+  }
+
   /// Figure 10's metric: overall retries over the number of
   /// transactions.
   double retryRatio() const {

@@ -156,7 +156,8 @@ private:
   Snapshot &stateFor(const Location &Loc) {
     if (!Shards)
       return Private;
-    uint32_t S = shardIndexOf(Loc, ShardIndexMask + 1);
+    // One shard owns every location: skip hashing the key.
+    uint32_t S = ShardIndexMask ? shardIndexOf(Loc, ShardIndexMask + 1) : 0;
     ShardBackend::View &V = ShardViews[S];
     if (!V.Acquired) {
       Shards->acquire(S);

@@ -17,7 +17,7 @@
 #include "janus/core/Janus.h"
 #include "janus/relational/RelOp.h"
 #include "janus/stm/SimRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 #include "janus/support/Rng.h"
 #include "janus/training/Trainer.h"
 
@@ -252,8 +252,8 @@ TEST_P(TrainedDetectorSerializability, ThreadedCommitOrderReplayMatches) {
   conflict::SequenceDetector D(Cache, Cfg);
 
   std::vector<TaskFn> Tasks = mixedTasks(Counter, Cell, List, R, 30);
-  stm::ThreadedRuntime Runtime(Reg, D,
-                               stm::ThreadedConfig{4, false, false});
+  stm::ShardedRuntime Runtime(Reg, D,
+                              stm::ShardedConfig{4, 1, false, false});
   Snapshot Init;
   Init = Init.set(Location(List, "size"), Value::of(int64_t(0)));
   Runtime.setInitialState(Init);
@@ -290,8 +290,8 @@ TEST(EngineAgreementTest, OrderedRunsSameFinalStateOnBothEngines) {
     Sim.setInitialState(Init);
     Sim.run(Tasks);
 
-    stm::ThreadedRuntime Threaded(Reg, D2,
-                                  stm::ThreadedConfig{4, true, false});
+    stm::ShardedRuntime Threaded(Reg, D2,
+                                 stm::ShardedConfig{4, 1, true, false});
     Threaded.setInitialState(Init);
     Threaded.run(Tasks);
 

@@ -15,7 +15,7 @@
 #include "janus/resilience/FaultPlan.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/SimRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
+#include "janus/stm/ShardedRuntime.h"
 
 #include <gtest/gtest.h>
 
@@ -201,9 +201,10 @@ TEST(ContentionManagerTest, ExceptionBudgetThenFail) {
 TEST(ThreadedResilienceTest, ThrowingTaskCommitsOnSecondAttempt) {
   World W;
   WriteSetDetector D;
-  ThreadedConfig C;
+  ShardedConfig C;
+  C.NumShards = 1;
   C.NumThreads = 1;
-  ThreadedRuntime R(W.Reg, D, C);
+  ShardedRuntime R(W.Reg, D, C);
   std::atomic<int> Calls{0};
   R.run({[&](TxContext &Tx) {
     if (Calls.fetch_add(1) == 0)
@@ -221,11 +222,12 @@ TEST(ThreadedResilienceTest, ThrowingTaskCommitsOnSecondAttempt) {
 TEST(ThreadedResilienceTest, PermanentThrowSurfacesStructuredFailure) {
   World W;
   WriteSetDetector D;
-  ThreadedConfig C;
+  ShardedConfig C;
+  C.NumShards = 1;
   C.NumThreads = 2;
   C.Ordered = true;
   C.Resilience.ExceptionRetryBudget = 1;
-  ThreadedRuntime R(W.Reg, D, C);
+  ShardedRuntime R(W.Reg, D, C);
   R.run({[&W](TxContext &Tx) { Tx.add(Location(W.Work), 1); },
          [](TxContext &) -> void { throw std::runtime_error("boom"); },
          [&W](TxContext &Tx) { Tx.add(Location(W.Work), 3); }});
@@ -252,12 +254,13 @@ TEST(ThreadedResilienceTest, RetryStormIsBoundedByEscalation) {
   // fallback — total aborts are bounded and nothing livelocks.
   World W;
   WriteSetDetector D;
-  ThreadedConfig C;
+  ShardedConfig C;
+  C.NumShards = 1;
   C.NumThreads = 8;
   C.Resilience.SpeculativeRetryBudget = 4;
   C.Resilience.BackoffBaseMicros = 1;
   C.Resilience.BackoffCapMicros = 8;
-  ThreadedRuntime R(W.Reg, D, C);
+  ShardedRuntime R(W.Reg, D, C);
   const int N = 64;
   R.run(incrementTasks(Location(W.Work), N));
   EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(N));
@@ -275,12 +278,13 @@ TEST(ThreadedResilienceTest, ForcedStarvationEscalatesToSerialFallback) {
   // fallback — which ignores forced aborts (it is irrevocable).
   World W;
   WriteSetDetector D;
-  ThreadedConfig C;
+  ShardedConfig C;
+  C.NumShards = 1;
   C.NumThreads = 2;
   C.Ordered = true;
   C.Resilience.SpeculativeRetryBudget = 2;
   C.Faults = mustParse("abort@2.*");
-  ThreadedRuntime R(W.Reg, D, C);
+  ShardedRuntime R(W.Reg, D, C);
   const int N = 4;
   std::vector<TaskFn> Tasks;
   for (int I = 1; I <= N; ++I)
@@ -370,10 +374,11 @@ TEST(ThreadedResilienceTest, InjectedFaultCountsAreSchedulingIndependent) {
                      uint64_t &Injected, uint64_t &Commits, Value &Final) {
     World W;
     WriteSetDetector D;
-    ThreadedConfig C;
+    ShardedConfig C;
+    C.NumShards = 1;
     C.NumThreads = 1;
     C.Faults = mustParse(Spec);
-    ThreadedRuntime R(W.Reg, D, C);
+    ShardedRuntime R(W.Reg, D, C);
     R.run(incrementTasks(Location(W.Work), 8));
     Retries = R.stats().Retries.load();
     Exceptions = R.stats().TaskExceptions.load();
@@ -445,12 +450,13 @@ TEST(AuditResilienceTest, SerialFallbackRunAuditsClean) {
   // the serial rung; the recorded trace must still replay serializably.
   World W;
   WriteSetDetector D;
-  ThreadedConfig C;
+  ShardedConfig C;
+  C.NumShards = 1;
   C.NumThreads = 4;
   C.RecordTrace = true;
   C.Resilience.SpeculativeRetryBudget = 2;
   C.Faults = mustParse("abort@*.*");
-  ThreadedRuntime R(W.Reg, D, C);
+  ShardedRuntime R(W.Reg, D, C);
   const int N = 20;
   std::vector<TaskFn> Tasks = incrementTasks(Location(W.Work), N);
   R.run(Tasks);

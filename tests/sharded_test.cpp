@@ -5,13 +5,14 @@
 /// and the auditor's per-shard begin refinement.
 ///
 /// The load-bearing properties: the dense global clock gives the same
-/// Theorem 4.1 commit-order semantics as the unsharded engine (ordered
-/// mode commits in task order, cross-shard commits included); per-shard
-/// detection admits exactly what global detection would; epoch
-/// recycling under reclamation stays safe under thread churn (run this
-/// binary under TSan); and a recorded sharded trace passes the full
-/// hindsight audit — with the per-location begin refinement keeping
-/// shard-staggered begin points from surfacing as false races.
+/// Theorem 4.1 commit-order semantics at every shard count as at one
+/// shard (ordered mode commits in task order, cross-shard commits
+/// included); per-shard detection admits exactly what global detection
+/// would; epoch recycling under reclamation stays safe under thread
+/// churn (run this binary under TSan); and a recorded sharded trace
+/// passes the full hindsight audit — with the per-location begin
+/// refinement keeping shard-staggered begin points from surfacing as
+/// false races.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,6 @@
 #include "janus/analysis/HappensBefore.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/ShardedRuntime.h"
-#include "janus/stm/ThreadedRuntime.h"
 
 #include <gtest/gtest.h>
 
@@ -118,16 +118,19 @@ TEST(ShardedRuntimeTest, OrderedModeCommitsCrossShardInTaskOrder) {
 }
 
 TEST(ShardedRuntimeTest, EmptyTasksTakeTheAllocationFreeFastPath) {
-  ObjectRegistry Reg;
-  WriteSetDetector D;
-  ShardedRuntime R(Reg, D, shardedConfig(4, 8));
+  for (unsigned Shards : {8u, 1u}) {
+    ObjectRegistry Reg;
+    WriteSetDetector D;
+    ShardedRuntime R(Reg, D, shardedConfig(4, Shards));
 
-  const int N = 100;
-  R.run(std::vector<TaskFn>(N, [](TxContext &) {}));
-  EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(N));
-  EXPECT_EQ(R.stats().EmptyCommits.load(), static_cast<uint64_t>(N));
-  EXPECT_EQ(R.stats().Retries.load(), 0u);
-  EXPECT_EQ(R.commitOrder().size(), static_cast<size_t>(N));
+    const int N = 100;
+    R.run(std::vector<TaskFn>(N, [](TxContext &) {}));
+    EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(N)) << Shards;
+    EXPECT_EQ(R.stats().EmptyCommits.load(), static_cast<uint64_t>(N))
+        << Shards;
+    EXPECT_EQ(R.stats().Retries.load(), 0u) << Shards;
+    EXPECT_EQ(R.commitOrder().size(), static_cast<size_t>(N)) << Shards;
+  }
 }
 
 TEST(ShardedRuntimeTest, MixedCommitKindsKeepTheGlobalClockDense) {
@@ -350,20 +353,6 @@ TEST(HappensBeforeShardedTest, ShardBeginsSuppressObservedPredecessors) {
   EXPECT_EQ(Flat.harmfulCount(), 1u);
 }
 
-// Satellite regression guard for the unsharded engine: empty commits
-// take the allocation-free fast path and are counted.
-TEST(ThreadedRuntimeTest, EmptyCommitsAreCountedOnTheFastPath) {
-  ObjectRegistry Reg;
-  WriteSetDetector D;
-  ThreadedRuntime R(Reg, D, ThreadedConfig{4, /*Ordered=*/false,
-                                           /*ReclaimLogs=*/true});
-  const int N = 100;
-  R.run(std::vector<TaskFn>(N, [](TxContext &) {}));
-  EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(N));
-  EXPECT_EQ(R.stats().EmptyCommits.load(), static_cast<uint64_t>(N));
-  EXPECT_EQ(R.commitOrder().size(), static_cast<size_t>(N));
-}
-
 // Torn-commit probe: a cross-shard commit must publish to every touched
 // shard atomically, even while a chaos plan stalls the two-phase lock
 // acquisition mid-acquire (acquiredelay widens the window in which a
@@ -447,7 +436,7 @@ TEST(ShardedRuntimeTest, TornCommitProbeUnderMidAcquireFaults) {
   EXPECT_TRUE(Report.clean()) << Report.summary();
 }
 
-TEST(ShardedRuntimeTest, ShardedAndUnshardedEnginesAgreeOnFinalState) {
+TEST(ShardedRuntimeTest, OneAndEightShardsAgreeOnFinalState) {
   const int N = 48;
   auto MakeTasks = [](ObjectId Counter, ObjectId Slots) {
     std::vector<TaskFn> Tasks;
@@ -463,21 +452,19 @@ TEST(ShardedRuntimeTest, ShardedAndUnshardedEnginesAgreeOnFinalState) {
   ObjectId CounterA = RegA.registerObject("counter");
   ObjectId SlotsA = RegA.registerObject("slots", "slots.elem");
   WriteSetDetector DA;
-  ShardedRuntime Sharded(RegA, DA, shardedConfig(4, 8));
-  Sharded.run(MakeTasks(CounterA, SlotsA));
+  ShardedRuntime Eight(RegA, DA, shardedConfig(4, 8));
+  Eight.run(MakeTasks(CounterA, SlotsA));
 
   ObjectRegistry RegB;
   ObjectId CounterB = RegB.registerObject("counter");
   ObjectId SlotsB = RegB.registerObject("slots", "slots.elem");
   WriteSetDetector DB;
-  ThreadedRuntime Threaded(RegB, DB, ThreadedConfig{4, false, true});
-  Threaded.run(MakeTasks(CounterB, SlotsB));
+  ShardedRuntime One(RegB, DB, shardedConfig(4, 1));
+  One.run(MakeTasks(CounterB, SlotsB));
 
-  EXPECT_EQ(snapshotValue(Sharded.sharedState(), Location(CounterA)).asInt(),
-            snapshotValue(Threaded.sharedState(), Location(CounterB))
-                .asInt());
+  EXPECT_EQ(snapshotValue(Eight.sharedState(), Location(CounterA)).asInt(),
+            snapshotValue(One.sharedState(), Location(CounterB)).asInt());
   for (int I = 0; I != 17; ++I)
-    EXPECT_EQ(
-        snapshotValue(Sharded.sharedState(), Location(SlotsA, I)).asInt(),
-        snapshotValue(Threaded.sharedState(), Location(SlotsB, I)).asInt());
+    EXPECT_EQ(snapshotValue(Eight.sharedState(), Location(SlotsA, I)).asInt(),
+              snapshotValue(One.sharedState(), Location(SlotsB, I)).asInt());
 }

@@ -11,7 +11,6 @@
 
 #include "janus/conflict/OnlineConflict.h"
 #include "janus/conflict/SequenceDetector.h"
-#include "janus/stm/ThreadedRuntime.h"
 #include "janus/support/Rng.h"
 #include "janus/training/DependenceGraph.h"
 #include "janus/verify/RelationalCheck.h"

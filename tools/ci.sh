@@ -5,13 +5,15 @@
 #   3. ThreadSanitizer build + ctest (JANUS_SANITIZE=thread) — the
 #      dynamic complement of the hindsight auditor;
 #   4. `janus audit` over every workload (the paper's five plus the
-#      HashChurn/SSCA2 spec kernels) on both engines, plus a
-#      sharded pass (--shards 8, threads engine) — the location-
-#      sharded commit pipeline must stay audit-clean (DESIGN.md §11);
-#   5. chaos: the same audits under a canned JANUS_FAULTS plan that
-#      force-aborts, injects exceptions, delays commits and starves the
-#      SAT budget — the escalation ladder must absorb every fault and
-#      still produce a CLEAN audit (exit 0);
+#      HashChurn/SSCA2 spec kernels) on both engines — the simulator
+#      and the real-thread engine at 1 shard — plus a pass at 8
+#      shards: the commit pipeline must stay audit-clean at every
+#      shard count (DESIGN.md §11);
+#   5. chaos: the same audits on both engines (plus 8 shards on three
+#      workloads) under a canned JANUS_FAULTS plan that force-aborts,
+#      injects exceptions, delays commits and starves the SAT budget —
+#      the escalation ladder must absorb every fault and still produce
+#      a CLEAN audit (exit 0);
 #   6. static verification (`janus verify`): every workload's trained
 #      table is checked for condition soundness (DESIGN.md §10) and
 #      must come back clean — every run also replays the hand-written
@@ -32,13 +34,13 @@
 #      JANUS_RETRY_THRESHOLD (default 1.5) fails the stage;
 #   9. service soak: bounded `janus serve` runs under a chaos plan
 #      with client-coordinate clauses (sheds, injected throws) on
-#      both engines plus a sharded pass, each with --audit — every
+#      both engines plus an 8-shard pass, each with --audit — every
 #      run must drain gracefully with exit 0 (exactly one terminal
 #      reply per submission, every batch audit clean); then
 #      serve_soak --quick checks committed throughput holds within
 #      tolerance under 4x admission-controlled overload.
 #  10. flight recorder + replay: every workload is recorded under the
-#      stage-5 chaos plan on both the threaded and the sharded engine
+#      stage-5 chaos plan on the real-thread engine at 1 and 8 shards
 #      (--record-out), each dump must satisfy tools/check_trace.py's
 #      binary checks, and `janus replay` must re-execute it with a
 #      bit-identical commit order and dense clock sequence plus a clean
@@ -202,7 +204,7 @@ echo "-- serve_soak --quick (admission-control overload gate)"
 echo "== [10/10] flight recorder + deterministic replay =="
 # Record every workload under the stage-5 chaos plan — first attempts
 # force-aborted, injected throws, delayed commits, a starved SAT budget
-# — on the classic threaded engine and on the sharded pipeline, then
+# — on the real-thread engine at 1 and at 8 shards, then
 # validate each dump and replay it in the simulator. The replayed
 # commit order and dense clock sequence must match the recording bit
 # for bit and the hindsight audit of the replayed trace must be CLEAN.

@@ -50,8 +50,7 @@
 /// Run options:
 ///   --threads N         worker threads / simulated cores (default 8)
 ///   --shards N          commit-pipeline shards for the threaded engine
-///                       (default 1 = classic single commit point; >1
-///                       selects the location-sharded engine, rounded
+///                       (default 1 = a single commit point; rounded
 ///                       up to a power of two; see DESIGN.md §11)
 ///   --detector seq|ws   conflict detection algorithm (default seq)
 ///   --specs on|off|only per-ADT spec-table fast path (default on):
@@ -932,8 +931,15 @@ int cmdRun(const CliOptions &Opts) {
                                                      : "threaded",
                 Opts.Threads,
                 Opts.Engine == EngineKind::Simulated ? "cores" : "threads");
-    std::printf("speedup    : %.2fx (parallel %.1f vs sequential %.1f)\n",
-                O.speedup(), O.ParallelTime, O.SequentialTime);
+    // The simulator's times are virtual cost units; real-thread runs
+    // are wall seconds, printed in ms so a sub-second run is legible.
+    if (Opts.Engine == EngineKind::Simulated)
+      std::printf("speedup    : %.2fx (parallel %.1f vs sequential %.1f)\n",
+                  O.speedup(), O.ParallelTime, O.SequentialTime);
+    else
+      std::printf("speedup    : %.2fx (parallel %.3f ms vs sequential "
+                  "%.3f ms)\n",
+                  O.speedup(), O.ParallelTime * 1e3, O.SequentialTime * 1e3);
     std::printf("commits    : %llu\n",
                 (unsigned long long)J.runStats().Commits.load());
     std::printf("retries    : %llu (ratio %.3f)\n",
