@@ -11,9 +11,8 @@ using namespace janus;
 using namespace janus::core;
 
 Janus::Janus(JanusConfig ConfigIn)
-    : Config(ConfigIn), Cache(std::make_shared<conflict::CommutativityCache>(
-                            ConfigIn.DetectionShards)) {
-  Config.Sequence.Shards = Config.DetectionShards;
+    : Config(ConfigIn),
+      Cache(std::make_shared<conflict::CommutativityCache>()) {
   switch (Config.Detector) {
   case DetectorKind::WriteSet:
     Detector = std::make_unique<stm::WriteSetDetector>();
@@ -177,16 +176,12 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
     auto Start = Clock::now();
     for (size_t I = 0, E = Tasks.size(); I != E; ++I) {
       stm::TxContext Tx(Copy, static_cast<uint32_t>(I + 1), Reg);
-      try {
-        Tasks[I](Tx);
-      } catch (...) {
-        // The baseline only provides the speedup denominator; a
-        // throwing task contributes its partial work and no state
-        // change, matching the parallel engines.
-        continue;
-      }
-      for (const stm::LogEntry &Entry : Tx.log())
-        Copy = stm::applyToSnapshot(Copy, Entry.Loc, Entry.Op);
+      // The baseline only provides the speedup denominator; a throwing
+      // task contributes its partial work and no state change, matching
+      // the parallel engines.
+      if (stm::runBody(Tasks[I], Tx))
+        for (const stm::LogEntry &Entry : Tx.log())
+          Copy = stm::applyToSnapshot(Copy, Entry.Loc, Entry.Op);
     }
     Outcome.SequentialTime =
         std::chrono::duration<double>(Clock::now() - Start).count();
@@ -200,7 +195,6 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
   ShardCfg.Ordered = Ordered;
   ShardCfg.ReclaimLogs = Config.ReclaimLogs;
   ShardCfg.RecordTrace = Config.RecordTrace;
-  ShardCfg.HistorySegmentRecords = Config.HistorySegmentRecords;
   ShardCfg.Resilience = Config.Resilience;
   ShardCfg.Faults = Config.Faults;
   ShardCfg.Obs = ObsSink.get();

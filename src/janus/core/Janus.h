@@ -65,14 +65,6 @@ struct JanusConfig {
   /// (janus::analysis; `janus audit`). Off by default: tracing retains
   /// all transaction logs plus entry snapshots for the run's lifetime.
   bool RecordTrace = false;
-  /// Lock stripes for the detection-side caches (commutativity cache,
-  /// sequence-detector memo and unique-query tables); rounded up to a
-  /// power of two.
-  unsigned DetectionShards = 8;
-  /// Records per committed-history segment (per shard) in the
-  /// real-thread engine — the granularity at which log reclamation
-  /// returns memory.
-  uint32_t HistorySegmentRecords = 64;
   /// Contention-management policy: exponential backoff, retry budgets,
   /// escalation to the irrevocable serial fallback.
   resilience::ResilienceConfig Resilience = {};

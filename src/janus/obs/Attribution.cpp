@@ -1,6 +1,7 @@
 #include "janus/obs/Attribution.h"
 
 #include "janus/conflict/Explain.h"
+#include "janus/stm/Attempt.h"
 #include "janus/support/Format.h"
 #include "janus/support/Json.h"
 
@@ -34,6 +35,7 @@ AbortAttribution obs::attributeAborts(const stm::AuditTrace &Trace,
     std::string Detail;
   };
   std::map<Key, Agg> ByKey;
+  std::map<uint32_t, uint64_t> ByReason; // Aborts that ran no detection.
 
   std::vector<const stm::TraceEvent *> Committed = Trace.committedInOrder();
 
@@ -41,13 +43,17 @@ AbortAttribution obs::attributeAborts(const stm::AuditTrace &Trace,
     if (E.Committed)
       continue;
     ++Out.TotalAborts;
+    if (E.AbortReason != RecAbortConflict) {
+      ++ByReason[E.AbortReason];
+      continue;
+    }
 
-    // The commits the aborted attempt could have conflicted with: those
-    // not yet visible when it began. CommitTime > BeginTime is a
-    // superset of what the detector saw at abort time (see header).
+    // The commits the detector could have seen: those in its window
+    // (begin, detect-end].
     std::vector<stm::TxLogRef> Window;
     for (const stm::TraceEvent *C : Committed)
-      if (C->CommitTime > E.BeginTime && C->Log && !C->Log->empty())
+      if (C->CommitTime > E.BeginTime && C->CommitTime <= E.DetectEnd &&
+          C->Log && !C->Log->empty())
         Window.push_back(C->Log);
 
     conflict::ConflictExplanation Ex;
@@ -65,7 +71,7 @@ AbortAttribution obs::attributeAborts(const stm::AuditTrace &Trace,
       A.Detail = Ex.Reason;
   }
 
-  Out.Rows.reserve(ByKey.size() + (Out.Unattributed ? 1 : 0));
+  Out.Rows.reserve(ByKey.size() + ByReason.size() + 1);
   for (const auto &[K, A] : ByKey) {
     AttributionRow R;
     R.LocationName = std::get<0>(K);
@@ -76,8 +82,17 @@ AbortAttribution obs::attributeAborts(const stm::AuditTrace &Trace,
     R.Aborts = A.Aborts;
     Out.Rows.push_back(std::move(R));
   }
-  // Rank by count desc; map iteration order (key asc) already settled
-  // ties, and stable_sort preserves it.
+  for (const auto &[Code, N] : ByReason) {
+    AttributionRow R;
+    R.Verdict = stm::abortNote(Code);
+    R.LocationName = "(" + R.Verdict + ")";
+    R.Detail = "aborted before detection (" + R.Verdict + ")";
+    R.Aborts = N;
+    Out.Rows.push_back(std::move(R));
+  }
+  // Rank by count desc; map iteration order (key asc, conflict rows
+  // before abort reasons) already settled ties, and stable_sort
+  // preserves it.
   std::stable_sort(Out.Rows.begin(), Out.Rows.end(),
                    [](const AttributionRow &A, const AttributionRow &B) {
                      return A.Aborts > B.Aborts;
@@ -86,8 +101,7 @@ AbortAttribution obs::attributeAborts(const stm::AuditTrace &Trace,
     AttributionRow R;
     R.LocationName = "(unattributed)";
     R.Verdict = "unattributed";
-    R.Detail = "no conflicting committed pair (thrown body, injected "
-               "fault, or stale validation)";
+    R.Detail = "no conflicting committed pair in the detection window";
     R.Aborts = Out.Unattributed;
     Out.Rows.push_back(std::move(R));
   }

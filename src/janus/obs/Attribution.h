@@ -11,14 +11,12 @@
 /// aggregates the verdicts into a ranked "top conflict sources" table —
 /// the `janus explain` subcommand.
 ///
-/// The window handed to the explainer is every commit with
-/// CommitTime > BeginTime — a superset of what the detector had seen
-/// by the moment it aborted the attempt (the abort decision time is
-/// not recorded). The explanation is therefore a sound diagnosis of a
-/// real non-commutativity the attempt was exposed to, though
-/// occasionally of a *later* commit than the one the detector fired
-/// on. Aborted attempts with no conflicting pair (thrown bodies,
-/// fault-injected aborts) land in the "(unattributed)" bucket.
+/// Only conflict aborts ran detection, so only they are explained, each
+/// against the commits in its recorded detection window (BeginTime,
+/// DetectEnd] — exactly what the detector could have seen. Aborts that
+/// ended before detection (injected faults, thrown bodies,
+/// cancellations) count in one row per abort reason; a conflict abort
+/// with no conflicting pair in its window lands in "(unattributed)".
 ///
 /// Deterministic: rows are aggregated by key and ranked by (count
 /// desc, key asc), so identical traces yield identical tables — the
@@ -43,7 +41,8 @@ struct AttributionRow {
   std::string LocationName; ///< e.g. "colors[17]".
   std::string MineOps;      ///< Aborted side, e.g. "R, W(5)".
   std::string TheirOps;     ///< Committed side.
-  std::string Verdict;      ///< "SAMEREAD", "COMMUTE" or "unattributed".
+  std::string Verdict; ///< "SAMEREAD", "COMMUTE", an abort reason
+                       ///< ("injected", ...) or "unattributed".
   std::string Detail;       ///< First concrete failing condition seen.
   uint64_t Aborts = 0;
 };
@@ -51,7 +50,7 @@ struct AttributionRow {
 /// The full report, ranked most-aborts-first.
 struct AbortAttribution {
   uint64_t TotalAborts = 0;
-  uint64_t Unattributed = 0; ///< Thrown/injected, no conflicting pair.
+  uint64_t Unattributed = 0; ///< Conflict aborts with no conflicting pair.
   std::vector<AttributionRow> Rows;
 
   /// Aligned "top conflict sources" text table (the `janus explain`

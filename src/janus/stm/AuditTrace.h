@@ -46,9 +46,10 @@ struct TraceEvent {
   uint32_t Tid = 0; ///< 1-based task id.
   /// Clock value at CREATETRANSACTION: the attempt observed exactly the
   /// commits with CommitTime <= BeginTime. Under the sharded engine
-  /// this is the *minimum* over ShardBegins — per shard, the attempt
-  /// observed exactly the commits with CommitTime <= that shard's
-  /// stamp; the auditor refines with ShardBegins when present.
+  /// this is the *minimum* over ShardBegins, the same begin the flight
+  /// recorder holds — per shard, the attempt observed exactly the
+  /// commits with CommitTime <= that shard's stamp; the auditor refines
+  /// with ShardBegins when present.
   uint64_t BeginTime = 0;
   /// Clock value assigned at COMMIT; 0 for aborted attempts.
   uint64_t CommitTime = 0;
@@ -78,6 +79,12 @@ struct TraceEvent {
     // this attempt; fall back to the conservative global begin.
     return BeginTime;
   }
+
+  /// Aborted attempts: why (obs::RecAbort* code; see stm/Attempt.h).
+  uint32_t AbortReason = 0;
+  /// Conflict aborts: the clock when detection flagged the conflict, so
+  /// the conflicting commit lies in (BeginTime, DetectEnd].
+  uint64_t DetectEnd = 0;
 };
 
 /// A full recorded run: initial state, every attempt, final state.

@@ -41,13 +41,6 @@ static void cancellableBackoff(uint64_t Micros,
   }
 }
 
-/// The shared empty log: empty-commit fast paths and placeholders all
-/// reference one immutable instance instead of allocating per commit.
-static TxLogRef emptyTxLog() {
-  static const TxLogRef Empty = std::make_shared<const TxLog>();
-  return Empty;
-}
-
 /// Rounds the requested shard count up to a power of two in
 /// [1, MaxShards] (shard routing masks the location hash).
 static uint32_t normalizeShardCount(unsigned Requested) {
@@ -245,43 +238,6 @@ void ShardedRuntime::releaseAttempt(WorkerSlot &Worker, uint64_t Mask) {
   }
 }
 
-void ShardedRuntime::recordEvent(WorkerSlot &Worker, uint32_t Tid,
-                                 uint64_t Mask, uint64_t FallbackBegin,
-                                 uint64_t Commit, bool Committed, TxLogRef Log,
-                                 CommitMode Mode) {
-  if (!Config.RecordTrace)
-    return;
-  TraceEvent E;
-  E.Tid = Tid;
-  E.CommitTime = Commit;
-  E.Committed = Committed;
-  E.Log = std::move(Log);
-  E.Mode = Mode;
-  uint64_t Begin = FallbackBegin;
-  if (Mask) {
-    Begin = ~uint64_t{0};
-    const bool Single = (Mask & (Mask - 1)) == 0;
-    Snapshot Merged;
-    for (uint64_t M = Mask; M;) {
-      const uint32_t S = static_cast<uint32_t>(std::countr_zero(M));
-      M &= M - 1;
-      const ShardBackend::View &V = Worker.Views[S];
-      E.ShardBegins.emplace_back(S, V.Stamp);
-      Begin = std::min(Begin, V.Stamp);
-      if (Single)
-        Merged = V.Entry;
-      else
-        V.Entry.forEach([&Merged](const Location &L, const Value &Val) {
-          Merged = Merged.set(L, Val);
-        });
-    }
-    E.Entry = std::move(Merged);
-  }
-  E.BeginTime = Begin;
-  Worker.Events.push_back(std::move(E));
-  ++Stats.TraceEvents;
-}
-
 void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
   if (!Config.Ordered)
     return;
@@ -363,102 +319,46 @@ void ShardedRuntime::recycleShardStates(uint32_t S) {
     Sh.History->reclaimUpTo(Sh.Oldest->Version);
 }
 
-ShardedRuntime::AttemptResult
-ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
-                        unsigned Lane, WorkerSlot &Worker,
-                        std::string *ThrowMsg) {
+
+Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
+                              uint32_t Attempt, unsigned Lane,
+                              WorkerSlot &Worker, std::string &ThrowMsg) {
   obs::Observer *const O = obs::janusObs(Config.Obs);
   const bool Sampled = O && O->sampled(Tid);
   const double AttemptTs = Sampled ? O->nowUs() : 0.0;
   // CREATETRANSACTION is distributed: no shard is touched until the
   // body's first access routes there (TxContext::stateFor →
-  // acquireShard). The clock here only anchors the trace record of a
-  // transaction that ends up touching no shard at all.
+  // acquireShard). The clock here is the begin of an attempt that ends
+  // up touching no shard at all.
   const uint64_t ClockAtBegin = Clock.load(std::memory_order_acquire);
 
   AttemptBackend Backend(*this, Worker);
   TxContext Tx(Backend, Tid, Reg, &Stats);
   const double BodyTs = Sampled ? O->nowUs() : 0.0;
-  bool Threw = false;
-  try {
-    if (Config.Faults.throwTask(Tid, Attempt)) {
-      ++Stats.FaultsInjected;
-      throw resilience::InjectedFault("injected task exception");
-    }
-    Task(Tx);
-  } catch (const std::exception &E) {
-    Threw = true;
-    if (ThrowMsg)
-      *ThrowMsg = E.what();
-  } catch (...) {
-    Threw = true;
-    if (ThrowMsg)
-      *ThrowMsg = "unknown exception";
-  }
-  Tx.endAttempt();
+  const bool Threw = !Life->run(Task, Tx, Attempt, &ThrowMsg);
   const uint64_t Mask = Tx.accessedShards();
-  // Flight recorder: one begin + one shard-acquire per touched shard +
-  // the terminal event, emitted together at the attempt's end while the
-  // views (and their acquisition stamps) are still live — the same
-  // harvest recordEvent performs for the audit trace.
-  obs::Recorder *const Rec = obs::janusRec(Config.Rec);
-  const bool RecOn = Rec && Rec->sampled(Tid);
-  auto RecAttempt = [&](obs::RecKind Kind, uint64_t TermClock, uint32_t Aux,
-                        uint8_t TermMode) {
-    if (!RecOn)
-      return;
-    Rec->record(Lane, obs::RecKind::Begin, Tid, Attempt, ClockAtBegin);
-    for (uint64_t M = Mask; M;) {
-      const uint32_t S = static_cast<uint32_t>(std::countr_zero(M));
-      M &= M - 1;
-      Rec->record(Lane, obs::RecKind::ShardAcquire, Tid, Attempt,
-                  Worker.Views[S].Stamp, S);
-    }
-    Rec->record(Lane, Kind, Tid, Attempt, TermClock, Aux, TermMode);
-  };
   if (Sampled) {
     O->span(Lane, "begin", Tid, Attempt, AttemptTs, BodyTs - AttemptTs,
             "clock", static_cast<double>(ClockAtBegin));
     O->span(Lane, "body", Tid, Attempt, BodyTs, O->nowUs() - BodyTs, "shards",
             static_cast<double>(std::popcount(Mask)));
   }
-  if (Threw) {
-    ++Stats.TaskExceptions;
-    if (Sampled)
-      O->instant(Lane, "abort", Tid, Attempt, O->nowUs(), "exception");
-    RecAttempt(obs::RecKind::Abort, ClockAtBegin, obs::RecAbortException, 0);
-    recordEvent(Worker, Tid, Mask, ClockAtBegin, 0, /*Committed=*/false,
-                emptyTxLog());
-    releaseAttempt(Worker, Mask);
-    return AttemptResult::Thrown;
-  }
-  TxLogRef Log =
-      Tx.log().empty() ? emptyTxLog()
-                       : std::make_shared<const TxLog>(Tx.log());
+  const TxLogRef Log = Threw || Tx.log().empty()
+                           ? emptyTxLog()
+                           : std::make_shared<const TxLog>(Tx.log());
+  // The end record reads the views' acquisition stamps, so every exit
+  // reports before releaseAttempt.
+  AttemptEnd End{Tid, Attempt, Lane, Abort::None, CommitMode::Speculative,
+                 ClockAtBegin, 0, &Log, nullptr, Worker.Views.data(), Mask};
+  auto Now = [O] { return O->nowUs(); };
 
-  if (Config.Faults.forceAbort(Tid, Attempt)) {
-    ++Stats.FaultsInjected;
-    if (Sampled)
-      O->instant(Lane, "abort", Tid, Attempt, O->nowUs(), "injected");
-    RecAttempt(obs::RecKind::Abort, ClockAtBegin, obs::RecAbortInjected, 0);
-    recordEvent(Worker, Tid, Mask, ClockAtBegin, 0, /*Committed=*/false,
-                std::move(Log));
+  // Cancelled, thrown and injected aborts end before the ordered wait: a
+  // doomed attempt must not occupy its commit turn.
+  End.Reason = Life->classify(Threw, Tid, Attempt);
+  if (End.Reason != Abort::None) {
+    Life->report(End, Worker.Events, Now);
     releaseAttempt(Worker, Mask);
-    return AttemptResult::Aborted;
-  }
-
-  // Cooperative cancellation, before the ordered wait: a doomed
-  // attempt must not occupy its commit turn. The worker loop turns
-  // this into a placeholder-committed TaskFailure.
-  if (Config.Cancel &&
-      Config.Cancel->status(Tid) != resilience::CancelReason::None) {
-    if (Sampled)
-      O->instant(Lane, "abort", Tid, Attempt, O->nowUs(), "cancelled");
-    RecAttempt(obs::RecKind::Abort, ClockAtBegin, obs::RecAbortCancelled, 0);
-    recordEvent(Worker, Tid, Mask, ClockAtBegin, 0, /*Committed=*/false,
-                std::move(Log));
-    releaseAttempt(Worker, Mask);
-    return AttemptResult::Cancelled;
+    return End.Reason;
   }
 
   // Ordered mode: wait for all preceding tasks to commit.
@@ -476,22 +376,18 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
   // is the shared empty log.
   if (Mask == 0) {
     const double CommitTs = Sampled ? O->nowUs() : 0.0;
-    const uint64_t CommitTime =
-        Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
+    End.Clock = Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
     ++Stats.EmptyCommits;
-    Worker.CommitLog.emplace_back(CommitTime, Tid);
+    Worker.CommitLog.emplace_back(End.Clock, Tid);
     if (Sampled) {
-      double End = O->nowUs();
-      O->span(Lane, "commit", Tid, Attempt, CommitTs, End - CommitTs, "clock",
-              static_cast<double>(CommitTime));
-      O->commitLatency().record(End - AttemptTs);
+      double EndTs = O->nowUs();
+      O->span(Lane, "commit", Tid, Attempt, CommitTs, EndTs - CommitTs,
+              "clock", static_cast<double>(End.Clock));
+      O->commitLatency().record(EndTs - AttemptTs);
     }
-    RecAttempt(obs::RecKind::Commit, CommitTime, 0,
-               static_cast<uint8_t>(CommitMode::Speculative));
-    recordEvent(Worker, Tid, 0, ClockAtBegin, CommitTime, /*Committed=*/true,
-                std::move(Log));
-    notifySuccessor(CommitTime);
-    return AttemptResult::Committed;
+    Life->report(End, Worker.Events, Now);
+    notifySuccessor(End.Clock);
+    return Abort::None;
   }
 
   const bool Single = (Mask & (Mask - 1)) == 0;
@@ -558,18 +454,14 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
     if (Conflict) {
       if (O && !ShardAbortCounters.empty())
         ++*ShardAbortCounters[ConflictShard];
-      if (Sampled)
-        O->instant(Lane, "abort", Tid, Attempt, O->nowUs(), "conflict");
       // Detect-end clock: the conflicting commit's global stamp is at
       // most the clock read here (it published before detection saw
       // it), so replay's window (begin, detect-end] covers it.
-      RecAttempt(obs::RecKind::Abort,
-                 Clock.load(std::memory_order_acquire),
-                 obs::RecAbortConflict, 0);
-      recordEvent(Worker, Tid, Mask, ClockAtBegin, 0, /*Committed=*/false,
-                  std::move(Log));
+      End.Reason = Abort::Conflict;
+      End.Clock = Clock.load(std::memory_order_acquire);
+      Life->report(End, Worker.Events, Now);
       releaseAttempt(Worker, Mask);
-      return AttemptResult::Aborted;
+      return Abort::Conflict;
     }
 
     // REPLAYLOGGEDOPERATIONS per shard, outside every lock. When the
@@ -668,25 +560,24 @@ ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
       for (uint32_t I = 0; I != NumTouched; ++I)
         ++*ShardCommitCounters[Touched[I]];
     if (Sampled) {
-      double End = O->nowUs();
-      O->span(Lane, "commit", Tid, Attempt, CommitTs, End - CommitTs,
+      double EndTs = O->nowUs();
+      O->span(Lane, "commit", Tid, Attempt, CommitTs, EndTs - CommitTs,
               "shards", static_cast<double>(NumTouched));
-      O->commitLatency().record(End - AttemptTs);
+      O->commitLatency().record(EndTs - AttemptTs);
     }
-    RecAttempt(obs::RecKind::Commit, CommitTime, 0,
-               static_cast<uint8_t>(CommitMode::Speculative));
-    recordEvent(Worker, Tid, Mask, ClockAtBegin, CommitTime,
-                /*Committed=*/true, std::move(Log));
+    End.Clock = CommitTime;
+    Life->report(End, Worker.Events, Now);
     // Hand the turn off before freeing the attempt's private copies:
     // in ordered mode the successor waits on exactly this call.
     notifySuccessor(CommitTime);
     releaseAttempt(Worker, Mask);
-    return AttemptResult::Committed;
+    return Abort::None;
   }
 }
 
 void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
-                                  unsigned Lane, WorkerSlot &Worker) {
+                                  uint32_t Attempt, unsigned Lane,
+                                  WorkerSlot &Worker) {
   obs::Observer *const O = obs::janusObs(Config.Obs);
   const bool Sampled = O && O->sampled(Tid);
   const double SerialTs = Sampled ? O->nowUs() : 0.0;
@@ -703,34 +594,20 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
     Shards[S].CommitMutex.lock();
 
   uint64_t Mask = 0;
-  TxLogRef Log;
+  TxLogRef Log = emptyTxLog(); // Placeholder: no effects survive.
   CommitMode Mode = Task ? CommitMode::Serial : CommitMode::Placeholder;
   if (Task) {
     AttemptBackend Backend(*this, Worker);
     TxContext Tx(Backend, Tid, Reg, &Stats);
-    try {
-      (*Task)(Tx);
-      Tx.endAttempt();
+    std::string ThrowMsg;
+    if (Life->run(*Task, Tx, Attempt, &ThrowMsg)) {
       Log = std::make_shared<const TxLog>(Tx.log());
-    } catch (const std::exception &E) {
-      Tx.endAttempt();
-      ++Stats.TaskExceptions;
-      ++Stats.TaskFailures;
-      Worker.Failures.push_back(
-          resilience::TaskFailure{Tid, CM->attempts(Tid) + 1, E.what()});
-      Mode = CommitMode::Placeholder;
-    } catch (...) {
-      Tx.endAttempt();
-      ++Stats.TaskExceptions;
-      ++Stats.TaskFailures;
-      Worker.Failures.push_back(resilience::TaskFailure{
-          Tid, CM->attempts(Tid) + 1, "unknown exception"});
+    } else {
+      Life->fail(Tid, Attempt, ThrowMsg, Worker.Failures);
       Mode = CommitMode::Placeholder;
     }
     Mask = Tx.accessedShards();
   }
-  if (!Log || Mode == CommitMode::Placeholder)
-    Log = emptyTxLog(); // Placeholder: no effects survive.
   const uint64_t CommitTime = Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
   const uint64_t EffectMask = Mode == CommitMode::Placeholder ? 0 : Mask;
   if (EffectMask) {
@@ -760,7 +637,7 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
       Worker.Hazards[S].store(nullptr, std::memory_order_seq_cst);
       recycleShardStates(S);
     }
-    if ((EffectMask & (EffectMask - 1)) != 0)
+    if (!Single)
       ++Stats.CrossShardCommits;
   }
   for (uint32_t S = NumShards; S--;)
@@ -768,27 +645,22 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
   Worker.CommitLog.emplace_back(CommitTime, Tid);
   if (Sampled) {
     double End = O->nowUs();
-    O->span(Lane, "serial", Tid, /*Attempt=*/0, SerialTs, End - SerialTs,
-            "clock", static_cast<double>(CommitTime),
+    O->span(Lane, "serial", Tid, Attempt, SerialTs, End - SerialTs, "clock",
+            static_cast<double>(CommitTime),
             Mode == CommitMode::Placeholder ? "placeholder" : "fallback");
     O->commitLatency().record(End - SerialTs);
   }
-  // Serial/placeholder commits emit no begin or shard-acquire events —
-  // the replayer derives their entry (CommitTime - 1) from the mode.
-  if (obs::Recorder *R = obs::janusRec(Config.Rec))
-    if (R->sampled(Tid))
-      R->record(Lane, obs::RecKind::Commit, Tid, /*Attempt=*/0, CommitTime,
-                0, static_cast<uint8_t>(Mode));
-  recordEvent(Worker, Tid, EffectMask, CommitTime - 1, CommitTime,
-              /*Committed=*/true, std::move(Log), Mode);
+  Life->report(AttemptEnd{Tid, Attempt, Lane, Abort::None, Mode,
+                          CommitTime - 1, CommitTime, &Log, nullptr,
+                          Worker.Views.data(), EffectMask},
+               Worker.Events, [O] { return O->nowUs(); });
   notifySuccessor(CommitTime);
   releaseAttempt(Worker, Mask);
 }
 
 void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
   Stats.Tasks += Tasks.size();
-  CM = std::make_unique<resilience::ContentionManager>(Config.Resilience,
-                                                       Tasks.size());
+  Life.emplace(Config, Tasks.size(), Stats);
   Failures.clear();
   if (Config.RecordTrace) {
     Trace.Recorded = true;
@@ -802,89 +674,40 @@ void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
   auto Worker = [this, &Tasks, &NextTask](unsigned Slot) {
     WorkerSlot &W = Workers[Slot];
     obs::Observer *const O = obs::janusObs(Config.Obs);
-    auto BackoffTraced = [&](uint32_t Tid, uint32_t Attempt, uint64_t Micros,
-                             const char *Note) {
-      if (!O || !O->sampled(Tid)) {
-        cancellableBackoff(Micros, Config.Cancel, Tid);
-        return;
-      }
-      double Ts = O->nowUs();
-      cancellableBackoff(Micros, Config.Cancel, Tid);
-      double Dur = O->nowUs() - Ts;
-      O->backoffWait().record(Dur);
-      O->span(Slot, "backoff", Tid, Attempt, Ts, Dur, "requested_us",
-              static_cast<double>(Micros), Note);
-    };
     while (true) {
       size_t Idx = NextTask.fetch_add(1, std::memory_order_relaxed);
       if (Idx >= Tasks.size())
         return;
-      uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-      using Action = resilience::ContentionManager::Action;
-      // Fails the task for cancel reason CR: a structured TaskFailure
-      // plus an empty placeholder commit, as for exception exhaustion.
-      auto FailCancelled = [&](uint32_t Tid2, uint32_t AttemptsMade,
-                               resilience::CancelReason CR) {
-        ++Stats.TaskFailures;
-        ++Stats.CancelledTasks;
-        W.Failures.push_back(resilience::TaskFailure{
-            Tid2, AttemptsMade, resilience::toString(CR),
-            CR == resilience::CancelReason::Shutdown
-                ? resilience::TaskFailure::Kind::Shutdown
-                : resilience::TaskFailure::Kind::Deadline});
-        if (obs::Recorder *R = obs::janusRec(Config.Rec))
-          if (R->sampled(Tid2))
-            R->record(Slot, obs::RecKind::Cancel, Tid2, AttemptsMade,
-                      Clock.load(std::memory_order_acquire),
-                      static_cast<uint32_t>(CR));
-        commitSerial(nullptr, Tid2, Slot, W);
-      };
+      const uint32_t Tid = static_cast<uint32_t>(Idx + 1);
       for (uint32_t Attempt = 1;; ++Attempt) {
-        if (Config.Cancel) {
-          resilience::CancelReason CR = Config.Cancel->status(Tid);
-          if (CR != resilience::CancelReason::None) {
-            FailCancelled(Tid, Attempt - 1, CR);
-            break;
-          }
-        }
+        // A task cancelled at the attempt boundary has made one attempt
+        // fewer than this one.
+        const bool Cancelled = Life->cancelled(Tid);
         std::string ThrowMsg;
-        AttemptResult R = runTask(Tasks[Idx], Tid, Attempt, Slot, W, &ThrowMsg);
-        if (R == AttemptResult::Committed)
+        const Abort Why = Cancelled ? Abort::Cancelled
+                                    : runTask(Tasks[Idx], Tid, Attempt, Slot,
+                                              W, ThrowMsg);
+        if (Why == Abort::None)
           break;
-        if (R == AttemptResult::Cancelled) {
-          resilience::CancelReason CR = Config.Cancel->status(Tid);
-          if (CR == resilience::CancelReason::None)
-            CR = resilience::CancelReason::Shutdown; // Unreachable guard.
-          FailCancelled(Tid, Attempt, CR);
+        const uint32_t Made = Cancelled ? Attempt - 1 : Attempt;
+        const Lifecycle::Next N =
+            Life->next(Tid, Made, Slot, Why, ThrowMsg, W.Failures,
+                       Clock.load(std::memory_order_acquire));
+        if (N.Kind != Lifecycle::Step::Retry) {
+          const bool Serial = N.Kind == Lifecycle::Step::Serial;
+          commitSerial(Serial ? &Tasks[Idx] : nullptr, Tid, Made + 1, Slot, W);
           break;
         }
-        if (R == AttemptResult::Aborted) {
-          ++Stats.Retries;
-          auto D = CM->onAbort(Tid, Slot);
-          if (D.Act == Action::Serial) {
-            ++Stats.SerialFallbacks;
-            if (obs::Recorder *R = obs::janusRec(Config.Rec))
-              if (R->sampled(Tid))
-                R->record(Slot, obs::RecKind::Escalation, Tid, Attempt,
-                          Clock.load(std::memory_order_acquire));
-            commitSerial(&Tasks[Idx], Tid, Slot, W);
-            break;
-          }
-          BackoffTraced(Tid, Attempt, D.BackoffMicros,
-                        resilience::ContentionManager::toString(D.Act));
+        if (!O || !O->sampled(Tid)) {
+          cancellableBackoff(N.BackoffMicros, Config.Cancel, Tid);
           continue;
         }
-        // Thrown.
-        auto D = CM->onException(Tid, Slot);
-        if (D.Act == Action::Fail) {
-          ++Stats.TaskFailures;
-          W.Failures.push_back(
-              resilience::TaskFailure{Tid, CM->attempts(Tid), ThrowMsg});
-          commitSerial(nullptr, Tid, Slot, W);
-          break;
-        }
-        BackoffTraced(Tid, Attempt, D.BackoffMicros,
-                      resilience::ContentionManager::toString(D.Act));
+        double Ts = O->nowUs();
+        cancellableBackoff(N.BackoffMicros, Config.Cancel, Tid);
+        double Dur = O->nowUs() - Ts;
+        O->backoffWait().record(Dur);
+        O->span(Slot, "backoff", Tid, Attempt, Ts, Dur, "requested_us",
+                static_cast<double>(N.BackoffMicros), "retry");
       }
       ++Stats.Commits;
       if (Config.Resilience.Board)

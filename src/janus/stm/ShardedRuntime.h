@@ -80,36 +80,21 @@
 /// ordered runs reach the sequential final state while unordered runs
 /// reach the final state of their commit order.
 ///
-/// With `RecordTrace` set, every attempt (committed or aborted) is
-/// recorded into per-thread buffers merged into an `AuditTrace` when
-/// run() returns; `janus::analysis` can audit it after the fact.
-///
-/// Robustness (janus::resilience): every abort consults a
-/// `ContentionManager` — retries back off exponentially with
-/// deterministic jitter, and a task starved past its retry budget
-/// escalates to an irrevocable serial fallback under every shard lock.
-/// A task body that throws aborts cleanly (log discarded, hazards
-/// released) and is retried up to a budget, then surfaced as a
-/// structured `TaskFailure` while an empty placeholder commit keeps
-/// the clock dense and ordered successors unblocked. A `FaultPlan`
-/// can deterministically force aborts, inject exceptions, and delay
-/// commits at chosen (task, attempt) coordinates.
+/// The body runner, each attempt's end record (spans, flight recorder,
+/// audit trace) and the contention ladder are the shared attempt
+/// lifecycle (stm/Attempt.h). This engine carries the ladder's steps
+/// out in wall-clock time: a backoff wait, or a serial fallback or
+/// placeholder commit under every shard lock. Trace events go to
+/// per-worker buffers merged into an `AuditTrace` when run() returns.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JANUS_STM_SHARDEDRUNTIME_H
 #define JANUS_STM_SHARDEDRUNTIME_H
 
-#include "janus/obs/Obs.h"
-#include "janus/obs/Recorder.h"
-#include "janus/resilience/Cancellation.h"
-#include "janus/resilience/ContentionManager.h"
-#include "janus/resilience/FaultPlan.h"
-#include "janus/stm/AuditTrace.h"
+#include "janus/stm/Attempt.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/HistoryLog.h"
-#include "janus/stm/Stats.h"
-#include "janus/stm/TxContext.h"
 
 #include <array>
 #include <condition_variable>
@@ -315,23 +300,18 @@ private:
     WorkerSlot &Worker;
   };
 
-  /// How one RUNTASK attempt ended.
-  enum class AttemptResult : uint8_t {
-    Committed,
-    Aborted,
-    Thrown,
-    Cancelled, ///< Cancellation token fired mid-attempt; fail the task.
-  };
+  /// One speculative attempt. \returns why it did not commit
+  /// (Abort::None when it did), with a thrown body's what() in
+  /// \p ThrowMsg.
+  Abort runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
+                unsigned Lane, WorkerSlot &Worker, std::string &ThrowMsg);
 
-  AttemptResult runTask(const TaskFn &Task, uint32_t Tid, uint32_t Attempt,
-                        unsigned Lane, WorkerSlot &Worker,
-                        std::string *ThrowMsg);
-
-  /// Irrevocable serial fallback / placeholder commit: locks *every*
-  /// shard mutex (ascending), so it is a superset of any speculative
-  /// committer's lock set and cannot deadlock against one.
-  void commitSerial(const TaskFn *Task, uint32_t Tid, unsigned Lane,
-                    WorkerSlot &Worker);
+  /// Irrevocable serial fallback (\p Task set) or placeholder commit,
+  /// numbered \p Attempt: locks *every* shard mutex (ascending), so it
+  /// is a superset of any speculative committer's lock set and cannot
+  /// deadlock against one.
+  void commitSerial(const TaskFn *Task, uint32_t Tid, uint32_t Attempt,
+                    unsigned Lane, WorkerSlot &Worker);
 
   /// Lazy shard acquisition (ShardBackend::acquire): publishes the
   /// hazard, copies the shard slice into the worker's view, and
@@ -341,13 +321,6 @@ private:
   /// Clears hazards and resets views/attempt scratch for every shard
   /// in \p Mask (end of attempt, any outcome).
   void releaseAttempt(WorkerSlot &Worker, uint64_t Mask);
-
-  /// Appends one attempt record (with per-shard begin stamps drawn
-  /// from the still-live views) to the worker's trace buffer. Call
-  /// before releaseAttempt.
-  void recordEvent(WorkerSlot &Worker, uint32_t Tid, uint64_t Mask,
-                   uint64_t FallbackBegin, uint64_t Commit, bool Committed,
-                   TxLogRef Log, CommitMode Mode = CommitMode::Speculative);
 
   /// Blocks the calling worker while it waits for its ordered-mode
   /// commit turn (Clock >= OrderBase + Tid). No-op when unordered.
@@ -388,7 +361,7 @@ private:
   std::unordered_map<uint64_t, std::condition_variable *> OrderWaiters;
   std::atomic<uint64_t> OrderBase{0}; ///< Clock at the start of run().
 
-  std::unique_ptr<resilience::ContentionManager> CM;
+  std::optional<Lifecycle> Life; ///< The run() in progress.
   std::vector<resilience::TaskFailure> Failures;
 
   /// Per-shard commit/abort counters (janus::obs metrics registry);

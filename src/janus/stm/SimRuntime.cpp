@@ -17,29 +17,11 @@ SimRuntime::Attempt SimRuntime::execute(const std::vector<TaskFn> &Tasks,
   Attempt A;
   A.BeginSeq = CommitSeq;
   A.Entry = Shared;
-  uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-  if (obs::Recorder *R = obs::janusRec(Config.Rec))
-    if (R->sampled(Tid))
-      R->record(0, obs::RecKind::Begin, Tid, AttemptNo, A.BeginSeq);
-  TxContext Tx(Shared, Tid, Reg, &Stats);
-  try {
-    if (Config.Faults.throwTask(Tid, AttemptNo)) {
-      ++Stats.FaultsInjected;
-      throw resilience::InjectedFault("injected task exception");
-    }
-    Tasks[Idx](Tx);
-  } catch (const std::exception &E) {
-    A.Threw = true;
-    A.ThrowMsg = E.what();
-  } catch (...) {
-    A.Threw = true;
-    A.ThrowMsg = "unknown exception";
-  }
-  Tx.endAttempt();
+  TxContext Tx(Shared, static_cast<uint32_t>(Idx + 1), Reg, &Stats);
+  A.Threw = !Life->run(Tasks[Idx], Tx, AttemptNo, &A.ThrowMsg);
   // A thrown attempt's partial log is discarded — exception safety
   // means no effect of the doomed body can ever reach the shared state.
-  A.Log = A.Threw ? std::make_shared<const TxLog>()
-                  : std::make_shared<const TxLog>(Tx.log());
+  A.Log = A.Threw ? emptyTxLog() : std::make_shared<const TxLog>(Tx.log());
   A.ExecCost = Config.Costs.BeginCost + Tx.virtualCost() +
                Config.Costs.PerLogOp * static_cast<double>(A.Log->size());
   return A;
@@ -50,23 +32,16 @@ double SimRuntime::sequentialBaseline(const std::vector<TaskFn> &Tasks) {
   double Time = 0.0;
   for (size_t I = 0, E = Tasks.size(); I != E; ++I) {
     TxContext Tx(State, static_cast<uint32_t>(I + 1), Reg);
-    bool Threw = false;
-    try {
-      Tasks[I](Tx);
-    } catch (...) {
-      // The baseline only provides the speedup denominator; a task
-      // that throws contributes the work it did before failing and
-      // no state change (matching the parallel engine, where a
-      // failed task's effects never reach the shared state).
-      Threw = true;
-    }
-    Tx.endAttempt();
+    // The baseline only provides the speedup denominator; a task that
+    // throws contributes the work it did before failing and no state
+    // change (matching the parallel engine, where a failed task's
+    // effects never reach the shared state).
+    const bool Ok = runBody(Tasks[I], Tx);
     Time += Tx.virtualCost() +
             Config.Costs.SeqPerOp * static_cast<double>(Tx.log().size());
-    if (Threw)
-      continue;
-    for (const LogEntry &E2 : Tx.log())
-      State = applyToSnapshot(State, E2.Loc, E2.Op);
+    if (Ok)
+      for (const LogEntry &E2 : Tx.log())
+        State = applyToSnapshot(State, E2.Loc, E2.Op);
   }
   return Time;
 }
@@ -82,8 +57,7 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
   History.clear();
   CommitOrder.clear();
   CommitSeq = 0;
-  CM = std::make_unique<resilience::ContentionManager>(Config.Resilience,
-                                                       Tasks.size());
+  Life.emplace(Config, Tasks.size(), Stats);
   if (Config.RecordTrace) {
     Trace.Recorded = true;
     Trace.Initial = Shared;
@@ -97,9 +71,9 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
     Attempt Att;
     bool Busy = false;
     uint32_t AttemptNo = 0;
-    /// How the task will commit: contention-manager escalations flip
-    /// this to Serial (irrevocable, no detection) or Placeholder
-    /// (failed task, empty log).
+    /// How the task will commit: the contention ladder flips this to
+    /// Serial (irrevocable, no detection) or Placeholder (failed task,
+    /// empty log).
     CommitMode Mode = CommitMode::Speculative;
     /// Virtual start time of the in-flight attempt (obs commit
     /// latency: begin-to-publication).
@@ -111,20 +85,6 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
   // simulated trace is bit-identical across runs. Folds away under
   // JANUS_OBS=OFF exactly as on the threaded engine.
   obs::Observer *const O = obs::janusObs(Config.Obs);
-
-  auto RecordAbort = [this](uint32_t Tid, const Attempt &Att,
-                            uint32_t AttemptNo, uint32_t Reason,
-                            uint64_t EndClock) {
-    if (obs::Recorder *R = obs::janusRec(Config.Rec))
-      if (R->sampled(Tid))
-        R->record(0, obs::RecKind::Abort, Tid, AttemptNo, EndClock, Reason);
-    if (!Config.RecordTrace)
-      return;
-    Trace.Events.push_back(TraceEvent{Tid, Att.BeginSeq, 0,
-                                      /*Committed=*/false, Att.Log, Att.Entry,
-                                      CommitMode::Speculative, {}});
-    ++Stats.TraceEvents;
-  };
 
   // Completion events: (time, tiebreak, core). Processed in time order;
   // the tiebreak keeps the schedule deterministic.
@@ -138,50 +98,62 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
   size_t NextTask = 0;
   double MakeSpan = 0.0;
 
+  // Runs the task's next attempt on Core from virtual time Start: its
+  // body span and its completion event.
+  auto Execute = [&](unsigned Core, CoreTask &CT, double Start) {
+    CT.Att = execute(Tasks, CT.TaskIdx, ++CT.AttemptNo);
+    CT.AttStart = Start;
+    const auto Tid = static_cast<uint32_t>(CT.TaskIdx + 1);
+    if (O && O->sampled(Tid))
+      O->span(Core, "body", Tid, CT.AttemptNo, Start, CT.Att.ExecCost);
+    Events.emplace(Start + CT.Att.ExecCost, EventSeq++, Core);
+  };
+
   auto StartTask = [&](unsigned Core, double Time) {
     if (NextTask >= Tasks.size())
       return;
-    size_t Idx = NextTask++;
-    Cores[Core].TaskIdx = Idx;
-    Cores[Core].AttemptNo = 1;
-    Cores[Core].Mode = CommitMode::Speculative;
-    Cores[Core].Att = execute(Tasks, Idx, 1);
-    Cores[Core].Busy = true;
-    Cores[Core].AttStart = Time;
-    uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-    if (O && O->sampled(Tid))
-      O->span(Core, "body", Tid, 1, Time, Cores[Core].Att.ExecCost);
-    Events.emplace(Time + Cores[Core].Att.ExecCost, EventSeq++, Core);
+    CoreTask &CT = Cores[Core];
+    CT.TaskIdx = NextTask++;
+    CT.AttemptNo = 0;
+    CT.Mode = CommitMode::Speculative;
+    CT.Busy = true;
+    Execute(Core, CT, Time);
   };
 
-  // Aborted-attempt retry: abort instant, backoff span (charged as
-  // virtual time), re-execution with its body span, and the completion
-  // event — shared by the exception, injected-abort and conflict paths.
-  auto RetryTraced = [&](unsigned Core, CoreTask &CT, uint32_t Tid,
-                         double From, uint64_t BackoffMicros,
-                         const char *Why) {
-    bool Sampled = O && O->sampled(Tid);
-    if (Sampled) {
-      O->instant(Core, "abort", Tid, CT.AttemptNo, From, Why);
-      if (BackoffMicros) {
-        O->span(Core, "backoff", Tid, CT.AttemptNo, From,
-                static_cast<double>(BackoffMicros), "requested_us",
-                static_cast<double>(BackoffMicros), "retry");
-        O->backoffWait().record(static_cast<double>(BackoffMicros));
+  // An attempt that did not commit, at virtual time At: its end record,
+  // then the ladder's step — a retry after backoff charged as virtual
+  // time (\returns true), or the serial or placeholder commit that
+  // ends the task.
+  auto EndAttempt = [&](unsigned Core, CoreTask &CT, Abort Why, double At,
+                        uint64_t DetectEnd) {
+    const auto Tid = static_cast<uint32_t>(CT.TaskIdx + 1);
+    Life->report(AttemptEnd{Tid, CT.AttemptNo, Core, Why,
+                            CommitMode::Speculative, CT.Att.BeginSeq,
+                            DetectEnd, &CT.Att.Log, &CT.Att.Entry},
+                 Trace.Events, [At] { return At; });
+    const Lifecycle::Next N = Life->next(Tid, CT.AttemptNo, Core, Why,
+                                         CT.Att.ThrowMsg, Outcome.Failures,
+                                         CommitSeq);
+    if (N.Kind == Lifecycle::Step::Retry) {
+      const auto Wait = static_cast<double>(N.BackoffMicros);
+      if (N.BackoffMicros && O && O->sampled(Tid)) {
+        O->span(Core, "backoff", Tid, CT.AttemptNo, At, Wait, "requested_us",
+                Wait, "retry");
+        O->backoffWait().record(Wait);
       }
+      Execute(Core, CT, At + Wait);
+      return true;
     }
-    double Start = From + static_cast<double>(BackoffMicros);
-    CT.Att = execute(Tasks, CT.TaskIdx, ++CT.AttemptNo);
-    CT.AttStart = Start;
-    if (Sampled)
-      O->span(Core, "body", Tid, CT.AttemptNo, Start, CT.Att.ExecCost);
-    Events.emplace(Start + CT.Att.ExecCost, EventSeq++, Core);
+    ++CT.AttemptNo;
+    CT.Mode = N.Kind == Lifecycle::Step::Serial ? CommitMode::Serial
+                                             : CommitMode::Placeholder;
+    CT.Att.Log = emptyTxLog(); // Serial re-executes; placeholders commit none.
+    return false;
   };
 
   for (unsigned C = 0; C != Config.NumCores; ++C)
     StartTask(C, 0.0);
 
-  using Action = resilience::ContentionManager::Action;
   while (!Events.empty()) {
     auto [Time, Seq, Core] = Events.top();
     Events.pop();
@@ -190,71 +162,14 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
     JANUS_ASSERT(CT.Busy, "event for idle core");
     uint32_t Tid = static_cast<uint32_t>(CT.TaskIdx + 1);
 
-    // Cooperative cancellation at the attempt boundary: a cancelled
-    // task (deadline expired or shutdown) fails with an empty
-    // placeholder commit — the same dense-clock mechanism as
-    // exception-exhausted tasks. A pending throw on the same attempt
-    // is subsumed by the cancellation.
-    if (Config.Cancel && CT.Mode == CommitMode::Speculative) {
-      resilience::CancelReason CR = Config.Cancel->status(Tid);
-      if (CR != resilience::CancelReason::None) {
-        if (CT.Att.Threw) {
-          ++Stats.TaskExceptions;
-          CT.Att.Threw = false;
-        }
-        RecordAbort(Tid, CT.Att, CT.AttemptNo, obs::RecAbortCancelled, 0);
-        if (O && O->sampled(Tid))
-          O->instant(Core, "abort", Tid, CT.AttemptNo, Time, "cancelled");
-        ++Stats.TaskFailures;
-        ++Stats.CancelledTasks;
-        Outcome.Failures.push_back(resilience::TaskFailure{
-            Tid, CT.AttemptNo, resilience::toString(CR),
-            CR == resilience::CancelReason::Shutdown
-                ? resilience::TaskFailure::Kind::Shutdown
-                : resilience::TaskFailure::Kind::Deadline});
-        CT.Att.Log = std::make_shared<const TxLog>();
-        CT.Mode = CommitMode::Placeholder;
-      }
-    }
-
-    // A thrown attempt consults the contention manager before any
-    // turn-taking: a retrying task must not occupy its commit turn.
-    if (CT.Att.Threw) {
-      ++Stats.TaskExceptions;
-      RecordAbort(Tid, CT.Att, CT.AttemptNo, obs::RecAbortException, 0);
-      auto D = CM->onException(Tid, Core);
-      if (D.Act == Action::Retry) {
-        // Backoff is charged as virtual time on this core.
-        RetryTraced(Core, CT, Tid, Time, D.BackoffMicros, "exception");
+    // Cancelled, thrown and injected aborts end before the turn wait: a
+    // retrying task must not occupy its commit turn. A parked attempt
+    // is classified again when its turn comes (cancellation may have
+    // fired meanwhile).
+    if (CT.Mode == CommitMode::Speculative) {
+      Abort Why = Life->classify(CT.Att.Threw, Tid, CT.AttemptNo);
+      if (Why != Abort::None && EndAttempt(Core, CT, Why, Time, 0))
         continue;
-      }
-      // Exception budget exhausted: surface the failure and fall
-      // through to an empty placeholder commit (the thrown attempt's
-      // log is already empty), keeping ordered successors and the
-      // dense commit clock advancing.
-      if (O && O->sampled(Tid))
-        O->instant(Core, "abort", Tid, CT.AttemptNo, Time, "exception");
-      ++Stats.TaskFailures;
-      Outcome.Failures.push_back(
-          resilience::TaskFailure{Tid, CM->attempts(Tid), CT.Att.ThrowMsg});
-      CT.Att.Threw = false; // Handled; the event may re-pop after parking.
-      CT.Mode = CommitMode::Placeholder;
-    } else if (CT.Mode == CommitMode::Speculative &&
-               Config.Faults.forceAbort(Tid, CT.AttemptNo)) {
-      // Fault injection: abort before the turn wait and before
-      // detection, exactly as on the threaded engine.
-      ++Stats.FaultsInjected;
-      ++Stats.Retries;
-      RecordAbort(Tid, CT.Att, CT.AttemptNo, obs::RecAbortInjected, 0);
-      auto D = CM->onAbort(Tid, Core);
-      if (D.Act == Action::Retry) {
-        RetryTraced(Core, CT, Tid, Time, D.BackoffMicros, "injected");
-        continue;
-      }
-      if (O && O->sampled(Tid))
-        O->instant(Core, "abort", Tid, CT.AttemptNo, Time, "injected");
-      ++Stats.SerialFallbacks;
-      CT.Mode = CommitMode::Serial;
     }
 
     // Ordered mode: wait for this transaction's turn.
@@ -287,23 +202,11 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
         O->span(Core, "detect", Tid, CT.AttemptNo, Time, DetectCost,
                 "window", static_cast<double>(Window.size()));
       }
-      if (Conflict) {
-        // Abort: consult the contention manager. The recorded detect-end
-        // clock is the current commit count — the upper bound of the
-        // window this attempt conflicted with.
-        ++Stats.Retries;
-        RecordAbort(Tid, Att, CT.AttemptNo, obs::RecAbortConflict, CommitSeq);
-        auto D = CM->onAbort(Tid, Core);
-        if (D.Act == Action::Retry) {
-          // Re-execute from scratch on the same core, after backoff.
-          RetryTraced(Core, CT, Tid, CommitAt, D.BackoffMicros, "conflict");
-          continue;
-        }
-        if (O && O->sampled(Tid))
-          O->instant(Core, "abort", Tid, CT.AttemptNo, CommitAt, "conflict");
-        ++Stats.SerialFallbacks;
-        CT.Mode = CommitMode::Serial;
-      }
+      // The detect-end clock is the current commit count — the upper
+      // bound of the window this attempt conflicted with.
+      if (Conflict &&
+          EndAttempt(Core, CT, Abort::Conflict, CommitAt, CommitSeq))
+        continue;
     }
 
     if (CT.Mode == CommitMode::Serial) {
@@ -312,17 +215,11 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
       // sequential, so nothing can commit between this execution and
       // its commit — inherently pessimistic, cannot abort; and in
       // ordered mode this point is only reached on the task's turn.
-      Att = execute(Tasks, CT.TaskIdx, ++CT.AttemptNo);
+      Att = execute(Tasks, CT.TaskIdx, CT.AttemptNo);
       CT.AttStart = Time;
       CommitAt = std::max(Time + Att.ExecCost, LockFreeAt);
       if (Att.Threw) {
-        // The irrevocable execution itself threw: the task fails and
-        // commits an empty placeholder instead.
-        ++Stats.TaskExceptions;
-        ++Stats.TaskFailures;
-        Outcome.Failures.push_back(
-            resilience::TaskFailure{Tid, CM->attempts(Tid), Att.ThrowMsg});
-        Att.Threw = false;
+        Life->fail(Tid, CT.AttemptNo, Att.ThrowMsg, Outcome.Failures);
         CT.Mode = CommitMode::Placeholder; // Log already empty.
       }
       if (O && O->sampled(Tid))
@@ -340,22 +237,18 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
     }
 
     // Commit: replay the log on global memory while holding the write
-    // lock; commits serialize on LockFreeAt.
+    // lock; commits serialize on LockFreeAt. Serial and placeholder
+    // commits begin at the state they commit onto.
+    const uint64_t Begin =
+        CT.Mode == CommitMode::Speculative ? Att.BeginSeq : CommitSeq;
     ++CommitSeq;
     CommitOrder.push_back(Tid);
     for (const LogEntry &E : *Att.Log)
       Shared = applyToSnapshot(Shared, E.Loc, E.Op);
     History.push_back(Committed{CommitSeq, Att.Log});
-    if (obs::Recorder *R = obs::janusRec(Config.Rec))
-      if (R->sampled(Tid))
-        R->record(0, obs::RecKind::Commit, Tid, CT.AttemptNo, CommitSeq, 0,
-                  static_cast<uint8_t>(CT.Mode));
-    if (Config.RecordTrace) {
-      Trace.Events.push_back(TraceEvent{Tid, Att.BeginSeq, CommitSeq,
-                                        /*Committed=*/true, Att.Log, Att.Entry,
-                                        CT.Mode, {}});
-      ++Stats.TraceEvents;
-    }
+    Life->report(AttemptEnd{Tid, CT.AttemptNo, Core, Abort::None, CT.Mode,
+                            Begin, CommitSeq, &Att.Log, &Att.Entry},
+                 Trace.Events, [] { return 0.0; });
     double CommitEnd =
         CommitAt +
         Config.Costs.CommitPerOp * static_cast<double>(Att.Log->size());
@@ -412,6 +305,7 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
   History.clear();
   CommitOrder.clear();
   CommitSeq = 0;
+  Life.emplace(Config, Tasks.size(), Stats);
   if (Config.RecordTrace) {
     Trace.Recorded = true;
     Trace.Initial = Shared;
@@ -475,25 +369,22 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
   };
 
   // Executes one forced attempt against \p Entry — no fault injection
-  // (the recording already decided every outcome), no detection.
+  // (the recording already decided every outcome), no detection. A body
+  // that throws is a replay problem (\p What names the step's kind) and
+  // yields the empty log.
   auto ExecuteAt = [&](const ReplayStep &S, const Snapshot &Entry,
-                       bool *Threw, std::string *Msg) -> TxLogRef {
+                       const char *What) -> TxLogRef {
     TxContext Tx(Entry, S.Tid, Reg, &Stats);
-    *Threw = false;
-    try {
-      Tasks[S.Tid - 1](Tx);
-    } catch (const std::exception &E) {
-      *Threw = true;
-      *Msg = E.what();
-    } catch (...) {
-      *Threw = true;
-      *Msg = "unknown exception";
-    }
-    Tx.endAttempt();
+    std::string Msg;
+    const bool Ok = runBody(Tasks[S.Tid - 1], Tx, false, &Msg);
     VirtualNow += Config.Costs.BeginCost + Tx.virtualCost() +
                   Config.Costs.PerLogOp * static_cast<double>(Tx.log().size());
-    return *Threw ? std::make_shared<const TxLog>()
-                  : std::make_shared<const TxLog>(Tx.log());
+    if (Ok)
+      return std::make_shared<const TxLog>(Tx.log());
+    Problem("task " + std::to_string(S.Tid) + " attempt " +
+            std::to_string(S.Attempt) + " threw while replaying a " + What +
+            " attempt: " + Msg);
+    return emptyTxLog();
   };
 
   for (const ReplayStep &S : Sched.Steps) {
@@ -513,31 +404,16 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
       // conflict had a real footprint overlap.
       if (S.AbortReason != obs::RecAbortConflict)
         continue;
-      bool Ok = false, Threw = false;
-      std::string Msg;
-      Snapshot Entry = EntryFor(S, &Ok);
-      TxLogRef Log = ExecuteAt(S, Entry, &Threw, &Msg);
-      if (Threw)
-        Problem("task " + std::to_string(S.Tid) + " attempt " +
-                std::to_string(S.Attempt) +
-                " threw while replaying a conflict-aborted attempt: " + Msg);
+      bool Ok = false;
+      const Snapshot Entry = EntryFor(S, &Ok);
+      const TxLogRef Log = ExecuteAt(S, Entry, "conflict-aborted");
       ++Stats.Retries;
-      if (Config.RecordTrace) {
-        TraceEvent E{S.Tid,
-                     S.Begin,
-                     0,
-                     /*Committed=*/false,
-                     Log,
-                     std::move(Entry),
-                     CommitMode::Speculative,
-                     S.ShardStamps};
-        Trace.Events.push_back(std::move(E));
-        ++Stats.TraceEvents;
-      }
-      if (O && O->sampled(S.Tid)) {
+      if (O && O->sampled(S.Tid))
         O->span(0, "body", S.Tid, S.Attempt, StepTs, VirtualNow - StepTs);
-        O->instant(0, "abort", S.Tid, S.Attempt, VirtualNow, "conflict");
-      }
+      Life->report(AttemptEnd{S.Tid, S.Attempt, 0, Abort::Conflict,
+                              CommitMode::Speculative, S.Begin, S.End, &Log,
+                              &Entry, nullptr, 0, &S.ShardStamps},
+                   Trace.Events, [&] { return VirtualNow; });
       continue;
     }
 
@@ -551,14 +427,13 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     Snapshot Entry;
     if (Mode == CommitMode::Placeholder) {
       // The recorded task failed permanently; nothing executes.
-      Log = std::make_shared<const TxLog>();
+      Log = emptyTxLog();
       Entry = StateAt.back();
-      ++Stats.TaskFailures;
-      Outcome.Failures.push_back(resilience::TaskFailure{
-          S.Tid, S.Attempt, "recorded placeholder (task failed when recorded)"});
+      Life->fail(S.Tid, S.Attempt,
+                 "recorded placeholder (task failed when recorded)",
+                 Outcome.Failures);
     } else {
-      bool Ok = false, Threw = false;
-      std::string Msg;
+      bool Ok = false;
       if (Mode == CommitMode::Serial) {
         // Serial fallback executed under the full commit lock: its
         // entry is exactly the predecessor's published state.
@@ -568,15 +443,9 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
       } else {
         Entry = EntryFor(S, &Ok);
       }
-      Log = ExecuteAt(S, Entry, &Threw, &Msg);
-      if (Threw) {
-        // Commit an empty log to keep the clock dense; the divergence
-        // check surfaces the problem.
-        Problem("task " + std::to_string(S.Tid) + " attempt " +
-                std::to_string(S.Attempt) +
-                " threw while replaying a committed attempt: " + Msg);
-        ++Stats.TaskExceptions;
-      }
+      // A body that throws commits the empty log, keeping the clock
+      // dense; the divergence check surfaces the problem.
+      Log = ExecuteAt(S, Entry, "committed");
     }
 
     ++CommitSeq;
@@ -589,12 +458,10 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     Shared = std::move(Next);
     History.push_back(Committed{CommitSeq, Log});
     ++Stats.Commits;
-    if (Config.RecordTrace) {
-      TraceEvent E{S.Tid,       S.Begin, CommitSeq, /*Committed=*/true,
-                   Log,         Entry,   Mode,      S.ShardStamps};
-      Trace.Events.push_back(std::move(E));
-      ++Stats.TraceEvents;
-    }
+    Life->report(AttemptEnd{S.Tid, S.Attempt, 0, Abort::None, Mode, S.Begin,
+                            CommitSeq, &Log, &Entry, nullptr, 0,
+                            &S.ShardStamps},
+                 Trace.Events, [] { return 0.0; });
     if (O && O->sampled(S.Tid)) {
       const char *SpanName =
           Mode == CommitMode::Speculative ? "commit" : "serial";

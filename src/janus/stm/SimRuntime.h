@@ -25,32 +25,25 @@
 /// The event loop is sequential and deterministic: identical inputs
 /// produce identical schedules, commits, statistics and final states.
 ///
-/// Robustness (janus::resilience): aborts consult the same
-/// `ContentionManager` escalation ladder as the threaded engine —
-/// backoff charged as virtual time, starved tasks re-executed
-/// irrevocably against the current state (the sequential event loop
-/// makes that inherently pessimistic), failed tasks surfaced as
-/// `TaskFailure`s with empty placeholder commits. A `FaultPlan`
-/// injects the same faults at the same (task, attempt) coordinates on
-/// every run — injected executions stay bit-reproducible.
+/// The body runner, each attempt's end record and the contention
+/// ladder are the attempt lifecycle shared with the real-thread engine
+/// (stm/Attempt.h); this engine carries the ladder's steps out in
+/// virtual time — backoff is charged to the core, and a serial fallback
+/// re-executes against the current state (the sequential event loop
+/// makes that inherently pessimistic). Injected executions stay
+/// bit-reproducible.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JANUS_STM_SIMRUNTIME_H
 #define JANUS_STM_SIMRUNTIME_H
 
-#include "janus/obs/Obs.h"
-#include "janus/obs/Recorder.h"
-#include "janus/resilience/Cancellation.h"
-#include "janus/resilience/ContentionManager.h"
-#include "janus/resilience/FaultPlan.h"
-#include "janus/stm/AuditTrace.h"
+#include "janus/stm/Attempt.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/Replay.h"
-#include "janus/stm/Stats.h"
-#include "janus/stm/TxContext.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,8 +92,8 @@ struct SimConfig {
   /// never cancelled. Not owned; appended last.
   const resilience::CancellationTable *Cancel = nullptr;
   /// Flight recorder (janus::obs::Recorder); nullptr = no recording.
-  /// The simulator is single-threaded, so all events go to lane 0.
-  /// Not owned; appended last.
+  /// Each virtual core records on its own lane (replayed steps on lane
+  /// 0), so provision at least NumCores lanes. Not owned; appended last.
   obs::Recorder *Rec = nullptr;
   /// Forced schedule: when set, run() replays this recorded schedule
   /// deterministically instead of simulating scheduling decisions —
@@ -193,8 +186,7 @@ private:
   std::vector<Committed> History;
   uint64_t CommitSeq = 0;
   std::vector<uint32_t> CommitOrder;
-  /// Contention-management state of the in-progress run().
-  std::unique_ptr<resilience::ContentionManager> CM;
+  std::optional<Lifecycle> Life; ///< The run() in progress.
   AuditTrace Trace;
   RunStats Stats;
 };

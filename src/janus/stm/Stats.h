@@ -39,7 +39,6 @@ struct RunStats {
   StripedCounter Retries;            ///< Aborted attempts.
   StripedCounter ConflictChecks;     ///< DETECTCONFLICTS calls.
   StripedCounter ValidationFailures; ///< COMMIT-time now!=tcheck.
-  StripedCounter TraceEvents;        ///< Audit-trace records kept.
   StripedCounter EscapedAccesses;    ///< Out-of-tx accesses seen.
   StripedCounter SerialFallbacks;    ///< Tasks escalated to serial.
   StripedCounter TaskExceptions;     ///< Attempts ended by a throw.
@@ -55,7 +54,6 @@ struct RunStats {
     Retries.reset();
     ConflictChecks.reset();
     ValidationFailures.reset();
-    TraceEvents.reset();
     EscapedAccesses.reset();
     SerialFallbacks.reset();
     TaskExceptions.reset();
@@ -74,7 +72,6 @@ struct RunStats {
     Retries += R.Retries.load();
     ConflictChecks += R.ConflictChecks.load();
     ValidationFailures += R.ValidationFailures.load();
-    TraceEvents += R.TraceEvents.load();
     EscapedAccesses += R.EscapedAccesses.load();
     SerialFallbacks += R.SerialFallbacks.load();
     TaskExceptions += R.TaskExceptions.load();

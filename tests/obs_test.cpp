@@ -257,6 +257,32 @@ TEST(AttributionTest, IdenticalRunsYieldIdenticalReports) {
   EXPECT_EQ(J1, J3);
 }
 
+TEST(AttributionTest, InjectedAbortsAreNotBlamedOnConflicts) {
+  // Forced first-attempt aborts end before detection: they get their
+  // own row, and no more aborts are explained as conflicts than the run
+  // had conflict aborts.
+  core::JanusConfig Cfg = contendedConfig();
+  Cfg.Faults = *resilience::FaultPlan::parse("abort@*.1", nullptr);
+  core::Janus J(Cfg);
+  adt::TxMap M = adt::TxMap::create(J.registry(), "m");
+  J.setInitial(M.locationAt("hot"), Value::of(int64_t(0)));
+  J.runInOrder(contendedTasks(M));
+  AbortAttribution A = attributeAborts(J.lastTrace(), J.registry());
+  const uint64_t Injected = J.runStats().FaultsInjected.load();
+  ASSERT_EQ(Injected, 8u);
+  EXPECT_EQ(A.TotalAborts, J.runStats().Retries.load());
+  uint64_t InjectedRow = 0, Explained = 0;
+  for (const AttributionRow &R : A.Rows) {
+    if (R.Verdict == "injected")
+      InjectedRow += R.Aborts;
+    else if (R.Verdict != "unattributed")
+      Explained += R.Aborts;
+  }
+  EXPECT_EQ(InjectedRow, Injected) << A.toTable();
+  EXPECT_LE(Explained, A.TotalAborts - Injected) << A.toTable();
+  EXPECT_GT(Explained, 0u) << A.toTable(); // Real conflicts remain.
+}
+
 TEST(AttributionTest, EmptyTraceAttributesNothing) {
   stm::AuditTrace Empty;
   ObjectRegistry Reg;

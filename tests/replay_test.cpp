@@ -97,14 +97,23 @@ JanusConfig recordingConfig(EngineKind Engine, unsigned Shards = 1) {
   return Cfg;
 }
 
-/// Records a run of \p N conflicting tasks, replays the dump on the
-/// simulated engine, and returns the divergence report (with any
-/// execution problems merged in, like `janus replay` does).
+/// Records a run of \p N conflicting tasks under the fault plan
+/// \p Faults, replays the dump on the simulated engine, and returns the
+/// divergence report (with any execution problems merged in, like
+/// `janus replay` does).
 analysis::DivergenceReport
 recordAndReplay(EngineKind Engine, unsigned Shards, int N,
                 int64_t *RecordedValue = nullptr,
-                int64_t *ReplayedValue = nullptr) {
-  Janus J(recordingConfig(Engine, Shards));
+                int64_t *ReplayedValue = nullptr,
+                const std::string &Faults = "") {
+  JanusConfig Cfg = recordingConfig(Engine, Shards);
+  std::string FaultErr;
+  std::optional<resilience::FaultPlan> Plan =
+      resilience::FaultPlan::parse(Faults, &FaultErr);
+  EXPECT_TRUE(Plan.has_value()) << FaultErr;
+  if (Plan)
+    Cfg.Faults = *Plan;
+  Janus J(Cfg);
   Location C(J.registry().registerObject("counter"));
   J.runOutOfOrder(counterTasks(C, N));
   if (RecordedValue)
@@ -346,6 +355,24 @@ TEST(ReplayRoundTripTest, ShardedRecordingReplaysBitIdentically) {
       EngineKind::Threaded, 8, 32, &Recorded, &Replayed);
   EXPECT_TRUE(DR.clean()) << DR.summary();
   EXPECT_EQ(Recorded, Replayed);
+}
+
+TEST(ReplayRoundTripTest, ChaosRecordingsReplayBitIdentically) {
+  // The ci.sh stage-10 chaos plan: every first attempt force-aborted,
+  // task 2's first attempt throwing, every second attempt's commit
+  // delayed, the SAT budget starved.
+  const std::string Chaos = "abort@*.1;throw@2.1;delay@*.2=3;satbudget=4";
+  const std::pair<EngineKind, unsigned> Engines[] = {
+      {EngineKind::Simulated, 1},
+      {EngineKind::Threaded, 1},
+      {EngineKind::Threaded, 8}};
+  for (const auto &[Engine, Shards] : Engines) {
+    int64_t Recorded = 0, Replayed = 0;
+    analysis::DivergenceReport DR =
+        recordAndReplay(Engine, Shards, 32, &Recorded, &Replayed, Chaos);
+    EXPECT_TRUE(DR.clean()) << Shards << " shard(s): " << DR.summary();
+    EXPECT_EQ(Recorded, Replayed);
+  }
 }
 
 TEST(ReplayRoundTripTest, TamperedScheduleDiverges) {

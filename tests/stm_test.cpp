@@ -7,12 +7,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "janus/stm/Attempt.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/SimRuntime.h"
 #include "janus/stm/ShardedRuntime.h"
 #include "janus/support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 using namespace janus;
 using namespace janus::stm;
@@ -690,4 +693,133 @@ TEST(OneShardRuntimeTest, ConcurrentReclamationNeverDropsVisibleLogs) {
   // With every transaction finished, the final commit reclaimed the
   // whole window behind itself.
   EXPECT_LE(R.historySize(), 8u);
+}
+
+// ---------------------------------------------------------------------------
+// The shared attempt lifecycle (stm/Attempt.h).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// (kind, task, attempt, abort reason, commit mode) of every recorded
+/// event except shard acquisitions: what both engines must agree on.
+using StreamKey = std::tuple<uint8_t, uint32_t, uint32_t, uint32_t, uint8_t>;
+
+std::vector<StreamKey> streamOf(const obs::Recorder &R) {
+  std::vector<StreamKey> Out;
+  for (const obs::RecEvent &E : R.snapshot()) {
+    const auto Kind = static_cast<obs::RecKind>(E.Kind);
+    if (Kind == obs::RecKind::ShardAcquire)
+      continue;
+    Out.emplace_back(E.Kind, E.Tid, E.Attempt,
+                     Kind == obs::RecKind::Abort ? E.Aux : 0,
+                     Kind == obs::RecKind::Commit ? E.Mode : 0);
+  }
+  return Out;
+}
+
+/// Configures either engine for the stream-parity run: one worker,
+/// forced first-attempt aborts that escalate at once, and task 3
+/// throwing on every attempt past its exception budget.
+template <typename ConfigT> void parityConfig(ConfigT &C, obs::Recorder &R) {
+  std::string Err;
+  std::optional<resilience::FaultPlan> P =
+      resilience::FaultPlan::parse("abort@*.1;throw@3.*", &Err);
+  ASSERT_TRUE(P.has_value()) << Err;
+  C.Faults = *P;
+  C.Resilience.SpeculativeRetryBudget = 1;
+  C.Rec = &R;
+}
+
+} // namespace
+
+TEST(AttemptLifecycleTest, BothEnginesRecordTheSameStream) {
+  World W;
+  WriteSetDetector D;
+  std::vector<TaskFn> Tasks;
+  for (int I = 1; I <= 5; ++I)
+    Tasks.push_back([&W, I](TxContext &Tx) { Tx.add(Location(W.Work), I); });
+
+  obs::Recorder SimRec(obs::RecorderConfig{true}, 2);
+  SimConfig SC;
+  SC.NumCores = 1;
+  parityConfig(SC, SimRec);
+  SimRuntime Sim(W.Reg, D, SC);
+  SimOutcome SO = Sim.run(Tasks);
+
+  obs::Recorder ShardRec(obs::RecorderConfig{true}, 2);
+  ShardedConfig TC;
+  TC.NumThreads = 1;
+  TC.NumShards = 1;
+  parityConfig(TC, ShardRec);
+  ShardedRuntime Threads(W.Reg, D, TC);
+  Threads.run(Tasks);
+
+  const std::vector<StreamKey> SimStream = streamOf(SimRec);
+  EXPECT_EQ(SimStream, streamOf(ShardRec));
+  // Task 1: its forced abort escalates, and the serial commit is
+  // numbered one past the aborted attempt, with no begin of its own.
+  using K = obs::RecKind;
+  const auto U = [](K Kind) { return static_cast<uint8_t>(Kind); };
+  ASSERT_GE(SimStream.size(), 4u);
+  EXPECT_EQ(SimStream[0], StreamKey(U(K::Begin), 1, 1, 0, 0));
+  EXPECT_EQ(SimStream[1],
+            StreamKey(U(K::Abort), 1, 1, obs::RecAbortInjected, 0));
+  EXPECT_EQ(SimStream[2], StreamKey(U(K::Escalation), 1, 1, 0, 0));
+  EXPECT_EQ(SimStream[3],
+            StreamKey(U(K::Commit), 1, 2, 0,
+                      static_cast<uint8_t>(CommitMode::Serial)));
+  // Task 3 failed after three thrown attempts; its placeholder is the
+  // fourth, on both engines.
+  EXPECT_NE(std::find(SimStream.begin(), SimStream.end(),
+                      StreamKey(U(K::Commit), 3, 4, 0,
+                                static_cast<uint8_t>(CommitMode::Placeholder))),
+            SimStream.end());
+  ASSERT_EQ(SO.Failures.size(), 1u);
+  ASSERT_EQ(Threads.failures().size(), 1u);
+  EXPECT_EQ(SO.Failures[0].Attempts, Threads.failures()[0].Attempts);
+  EXPECT_EQ(snapshotValue(Sim.sharedState(), Location(W.Work)),
+            snapshotValue(Threads.sharedState(), Location(W.Work)));
+}
+
+TEST(AttemptLifecycleTest, ShardedBeginIsTheEarliestStampInEverySink) {
+  // An attempt that read the clock at 9, then acquired shards whose
+  // published states were stamped 5 and 3: a commit between 3 and 9
+  // may still lie in its detection window, so every sink must begin
+  // it at 3.
+  World W;
+  obs::Recorder Rec(obs::RecorderConfig{true}, 1);
+  ShardedConfig C;
+  C.RecordTrace = true;
+  C.Rec = &Rec;
+  RunStats Stats;
+  Lifecycle Life(C, /*NumTasks=*/1, Stats);
+  std::vector<ShardBackend::View> Views(4);
+  Views[1].Entry = Snapshot().set(Location(W.Work), Value::of(1));
+  Views[1].Stamp = 5;
+  Views[2].Entry = Snapshot().set(Location(W.Flag), Value::of(2));
+  Views[2].Stamp = 3;
+  const TxLogRef Log = emptyTxLog();
+  std::vector<TraceEvent> Out;
+  Life.report(AttemptEnd{1, 1, 0, Abort::Conflict, CommitMode::Speculative,
+                         /*Begin=*/9, /*Clock=*/12, &Log, nullptr,
+                         Views.data(), /*Mask=*/0b110},
+              Out, [] { return 0.0; });
+
+  std::vector<obs::RecEvent> Events = Rec.snapshot();
+  ASSERT_EQ(Events.size(), 4u); // Begin, two acquisitions, abort.
+  EXPECT_EQ(Events[0].Kind, static_cast<uint8_t>(obs::RecKind::Begin));
+  EXPECT_EQ(Events[0].Clock, 3u);
+  EXPECT_EQ(Events[3].Kind, static_cast<uint8_t>(obs::RecKind::Abort));
+  EXPECT_EQ(Events[3].Clock, 12u);
+  EXPECT_EQ(Events[3].Aux, obs::RecAbortConflict);
+  ASSERT_EQ(Out.size(), 1u);
+  const TraceEvent &T = Out[0];
+  EXPECT_EQ(T.BeginTime, Events[0].Clock);
+  EXPECT_EQ(T.ShardBegins,
+            (std::vector<std::pair<uint32_t, uint64_t>>{{1, 5}, {2, 3}}));
+  EXPECT_EQ(T.AbortReason, obs::RecAbortConflict);
+  EXPECT_EQ(T.DetectEnd, 12u);
+  EXPECT_EQ(snapshotValue(T.Entry, Location(W.Work)), Value::of(1));
+  EXPECT_EQ(snapshotValue(T.Entry, Location(W.Flag)), Value::of(2));
 }

@@ -40,12 +40,13 @@
 #      serve_soak --quick checks committed throughput holds within
 #      tolerance under 4x admission-controlled overload.
 #  10. flight recorder + replay: every workload is recorded under the
-#      stage-5 chaos plan on the real-thread engine at 1 and 8 shards
-#      (--record-out), each dump must satisfy tools/check_trace.py's
-#      binary checks, and `janus replay` must re-execute it with a
-#      bit-identical commit order and dense clock sequence plus a clean
-#      audit (exit 0); a seeded-divergence probe (--probe-divergence)
-#      must exit nonzero to prove the comparison has teeth.
+#      stage-5 chaos plan on the simulator and on the real-thread engine
+#      at 1 and 8 shards (--record-out), each dump must satisfy
+#      tools/check_trace.py's binary checks, and `janus replay` must
+#      re-execute it with a bit-identical commit order and dense clock
+#      sequence plus a clean audit (exit 0); a seeded-divergence probe
+#      (--probe-divergence) must exit nonzero to prove the comparison
+#      has teeth.
 #
 # Usage: tools/ci.sh [JOBS]   (JOBS defaults to nproc)
 set -eu
@@ -204,16 +205,22 @@ echo "-- serve_soak --quick (admission-control overload gate)"
 echo "== [10/10] flight recorder + deterministic replay =="
 # Record every workload under the stage-5 chaos plan — first attempts
 # force-aborted, injected throws, delayed commits, a starved SAT budget
-# — on the real-thread engine at 1 and at 8 shards, then
-# validate each dump and replay it in the simulator. The replayed
-# commit order and dense clock sequence must match the recording bit
-# for bit and the hindsight audit of the replayed trace must be CLEAN.
-for W in JFileSync JGraphT-1 JGraphT-2 PMD Weka; do
-  for SHARDS in 1 8; do
-    REC="$REPO_ROOT/build/ci_rec_${W}_s${SHARDS}.jrec"
-    echo "-- record + replay $W (threads, $SHARDS shard(s), chaos)"
-    "$REPO_ROOT/build/tools/janus" run --workload "$W" --engine threads \
-      --threads 8 --shards "$SHARDS" --production \
+# — on the simulator and on the real-thread engine at 1 and at 8
+# shards, then validate each dump and replay it in the simulator. The
+# replayed commit order and dense clock sequence must match the
+# recording bit for bit and the hindsight audit of the replayed trace
+# must be CLEAN.
+for W in JFileSync JGraphT-1 JGraphT-2 PMD Weka HashChurn SSCA2; do
+  for ENGINE in sim s1 s8; do
+    case "$ENGINE" in
+      sim) ENGINE_ARGS="--engine sim" ;;
+      *) ENGINE_ARGS="--engine threads --shards ${ENGINE#s}" ;;
+    esac
+    REC="$REPO_ROOT/build/ci_rec_${W}_${ENGINE}.jrec"
+    echo "-- record + replay $W ($ENGINE_ARGS, chaos)"
+    # shellcheck disable=SC2086 # ENGINE_ARGS is a word list.
+    "$REPO_ROOT/build/tools/janus" run --workload "$W" $ENGINE_ARGS \
+      --threads 8 --production \
       --faults "$CHAOS_FAULTS" --record-out "$REC" >/dev/null
     python3 "$REPO_ROOT/tools/check_trace.py" "$REC"
     # No pipe here: the replay's own exit code (5 divergence, 3 unclean
