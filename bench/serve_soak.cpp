@@ -189,6 +189,8 @@ int main(int Argc, char **Argv) {
   Report.setMeta("threads", Threads);
   Report.setMeta("clients", NumClients);
   Report.setMeta("tolerance_pct", TolerancePct);
+  Report.setMeta("hw_threads",
+                 static_cast<unsigned>(std::thread::hardware_concurrency()));
 
   std::printf("serve_soak: committed throughput under admission-controlled "
               "overload\n(%d producer clients, %u worker threads; soak "

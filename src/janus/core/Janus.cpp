@@ -133,9 +133,30 @@ bool Janus::importTrainingArtifact(const std::string &Text) {
   return Cache->deserializeInto(Rest);
 }
 
+const stm::Snapshot &Janus::sharedState() const {
+  if (EngineAhead) {
+    State = Engine->sharedState();
+    EngineAhead = false;
+  }
+  return State;
+}
+
 void Janus::train(const std::vector<stm::TaskFn> &Tasks) {
-  stm::Snapshot Copy = State;
+  stm::Snapshot Copy = sharedState();
   TrainerImpl->trainOn(Copy, Tasks);
+}
+
+double Janus::timeSequential(const std::vector<stm::TaskFn> &Tasks) const {
+  using Clock = std::chrono::steady_clock;
+  stm::Snapshot Copy = sharedState();
+  auto Start = Clock::now();
+  for (size_t I = 0, E = Tasks.size(); I != E; ++I) {
+    stm::TxContext Tx(Copy, static_cast<uint32_t>(I + 1), Reg);
+    if (stm::runBody(Tasks[I], Tx))
+      for (const stm::LogEntry &Entry : Tx.log())
+        Copy = stm::applyToSnapshot(Copy, Entry.Loc, Entry.Op);
+  }
+  return std::chrono::duration<double>(Clock::now() - Start).count();
 }
 
 RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
@@ -168,48 +189,35 @@ RunOutcome Janus::runTasks(const std::vector<stm::TaskFn> &Tasks,
     return Outcome;
   }
 
-  // Real threads: time the sequential baseline on a state copy, then
-  // the parallel run on the live state.
-  using Clock = std::chrono::steady_clock;
-  {
-    stm::Snapshot Copy = State;
-    auto Start = Clock::now();
-    for (size_t I = 0, E = Tasks.size(); I != E; ++I) {
-      stm::TxContext Tx(Copy, static_cast<uint32_t>(I + 1), Reg);
-      // The baseline only provides the speedup denominator; a throwing
-      // task contributes its partial work and no state change, matching
-      // the parallel engines.
-      if (stm::runBody(Tasks[I], Tx))
-        for (const stm::LogEntry &Entry : Tx.log())
-          Copy = stm::applyToSnapshot(Copy, Entry.Loc, Entry.Op);
-    }
-    Outcome.SequentialTime =
-        std::chrono::duration<double>(Clock::now() - Start).count();
+  // The live real-thread engine (DESIGN.md §11.6). It takes the state
+  // only when setInitial changed it, and keeps the result until
+  // sharedState() asks for it.
+  if (!Engine) {
+    stm::ShardedConfig C;
+    C.NumThreads = Config.Threads;
+    C.NumShards = Config.Shards;
+    C.RecordTrace = Config.RecordTrace;
+    C.Resilience = Config.Resilience;
+    C.Obs = ObsSink.get();
+    C.Rec = RecSink.get();
+    Engine = std::make_unique<stm::ShardedRuntime>(Reg, *Detector, C);
   }
-
-  // The real-thread engine: per-shard histories, detection windows and
-  // commit points (DESIGN.md §11); one shard is the single commit point.
-  stm::ShardedConfig ShardCfg;
-  ShardCfg.NumThreads = Config.Threads;
-  ShardCfg.NumShards = Config.Shards;
-  ShardCfg.Ordered = Ordered;
-  ShardCfg.ReclaimLogs = Config.ReclaimLogs;
-  ShardCfg.RecordTrace = Config.RecordTrace;
-  ShardCfg.Resilience = Config.Resilience;
-  ShardCfg.Faults = Config.Faults;
-  ShardCfg.Obs = ObsSink.get();
-  ShardCfg.Cancel = Config.Cancel;
-  ShardCfg.Rec = RecSink.get();
-  stm::ShardedRuntime Runtime(Reg, *Detector, ShardCfg);
-  Runtime.setInitialState(State);
-  auto Start = Clock::now();
-  Runtime.run(Tasks);
+  if (StateAhead) {
+    Engine->setInitialState(State); // setInitial pulled before changing it.
+    StateAhead = false;
+  }
+  Engine->setRunParams(Ordered, Config.Faults, Config.Cancel,
+                       Config.Resilience.Board);
+  auto Start = std::chrono::steady_clock::now();
+  Engine->run(Tasks);
   Outcome.ParallelTime =
-      std::chrono::duration<double>(Clock::now() - Start).count();
-  State = Runtime.sharedState();
-  if (Config.RecordTrace)
-    Trace = Runtime.trace();
-  Outcome.Failures = Runtime.failures();
-  Stats.add(Runtime.stats());
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+          .count();
+  EngineAhead = true;
+  Outcome.Failures = Engine->failures();
+  // Count each run once, and keep no history past it.
+  Stats.add(Engine->stats());
+  Engine->stats().reset();
+  Engine->trim();
   return Outcome;
 }

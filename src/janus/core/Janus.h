@@ -59,8 +59,6 @@ struct JanusConfig {
   EngineKind Engine = EngineKind::Simulated;
   stm::CostModel Costs;
   training::TrainerConfig Training;
-  /// Reclaim committed logs no active transaction can query (§7.2).
-  bool ReclaimLogs = false;
   /// Record an audit trace of every run for post-hoc analysis
   /// (janus::analysis; `janus audit`). Off by default: tracing retains
   /// all transaction logs plus entry snapshots for the run's lifetime.
@@ -97,7 +95,10 @@ struct JanusConfig {
 
 /// Outcome of one parallel run: the measured parallel duration and the
 /// sequential-baseline duration over the same tasks (wall-clock seconds
-/// for the threaded engine, virtual units for the simulator).
+/// for the threaded engine, virtual units for the simulator). The
+/// threaded engine leaves SequentialTime at 0 — a run executes its tasks
+/// once — unless the caller times the baseline with
+/// Janus::timeSequential and stores it here.
 struct RunOutcome {
   double ParallelTime = 0.0;
   double SequentialTime = 0.0;
@@ -126,7 +127,8 @@ public:
 
   /// Seeds the initial configuration of the shared state.
   void setInitial(const Location &Loc, Value V) {
-    State = State.set(Loc, std::move(V));
+    State = sharedState().set(Loc, std::move(V));
+    StateAhead = true;
   }
 
   /// Runs \p Tasks sequentially against a *copy* of the current shared
@@ -151,6 +153,15 @@ public:
     return runInOrder(Tasks);
   }
 
+  /// Runs \p Tasks one after another on a copy of the current shared
+  /// state and \returns the wall-clock seconds they took: the
+  /// sequential baseline a real-thread speedup divides by. Bodies run
+  /// without fault injection, recording or tracing; a throwing task
+  /// contributes its partial work and no state change, as in the
+  /// engines. The shared state is not disturbed. The simulator times
+  /// its own virtual baseline and needs no such call.
+  double timeSequential(const std::vector<stm::TaskFn> &Tasks) const;
+
   /// Replaces the fault-injection plan for subsequent runs. A
   /// long-running service (janus::serve) translates its chaos plan's
   /// client-coordinate clauses into per-batch task coordinates here.
@@ -172,11 +183,13 @@ public:
   }
 
   /// \returns the shared state after the last run.
-  const stm::Snapshot &sharedState() const { return State; }
+  const stm::Snapshot &sharedState() const;
 
   /// \returns the audit trace of the most recent run (empty unless
   /// configured with RecordTrace).
-  const stm::AuditTrace &lastTrace() const { return Trace; }
+  const stm::AuditTrace &lastTrace() const {
+    return Engine ? Engine->trace() : Trace;
+  }
 
   /// The observability sink, or nullptr when JanusConfig::Obs is
   /// disabled. Spans and metrics accumulate across runs until
@@ -192,7 +205,7 @@ public:
 
   /// \returns the value at \p Loc in the current shared state.
   Value valueAt(const Location &Loc) const {
-    return stm::snapshotValue(State, Loc);
+    return stm::snapshotValue(sharedState(), Loc);
   }
 
   /// Cumulative execution statistics over all runs.
@@ -258,15 +271,26 @@ private:
   std::unique_ptr<stm::ConflictDetector> Detector;
   conflict::SequenceDetector *SeqDetector = nullptr;
   std::unique_ptr<training::Trainer> TrainerImpl;
-  stm::Snapshot State;
+  /// The shared state as the façade last saw it. After a threaded run
+  /// the engine's published state is newer until sharedState() pulls it
+  /// back (EngineAhead); setInitial's changes reach the engine at the
+  /// next threaded run (StateAhead).
+  mutable stm::Snapshot State;
+  mutable bool EngineAhead = false;
+  bool StateAhead = true;
   stm::RunStats Stats;
-  stm::AuditTrace Trace;
+  stm::AuditTrace Trace; ///< The simulator's last trace.
   /// Created by the constructor when Config.Obs.Enabled; handed by raw
-  /// pointer to the per-run engine configurations.
+  /// pointer to the engine configurations.
   std::unique_ptr<obs::Observer> ObsSink;
   /// Created by the constructor when Config.Record.Enabled; handed by
-  /// raw pointer to the per-run engine configurations.
+  /// raw pointer to the engine configurations.
   std::unique_ptr<obs::Recorder> RecSink;
+  /// The live real-thread engine: built at the first threaded run (its
+  /// pool then inherits that thread's CPU affinity) and reused by every
+  /// later run and serve batch. Declared last: it refers to the
+  /// registry, the detector and both sinks.
+  std::unique_ptr<stm::ShardedRuntime> Engine;
 };
 
 } // namespace core

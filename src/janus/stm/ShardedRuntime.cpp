@@ -90,6 +90,14 @@ ShardedRuntime::ShardedRuntime(const ObjectRegistry &Reg,
 }
 
 ShardedRuntime::~ShardedRuntime() {
+  {
+    std::lock_guard<std::mutex> Guard(PoolMutex);
+    Stopping = true;
+    for (WorkerSlot &W : Workers)
+      W.WakeCv.notify_one();
+  }
+  for (std::thread &T : Pool)
+    T.join();
   for (Shard &Sh : Shards) {
     ShardState *S = Sh.Oldest;
     while (S) {
@@ -153,6 +161,27 @@ Snapshot ShardedRuntime::sharedState() const {
   for (uint32_t I = NumShards; I--;)
     Shards[I].CommitMutex.unlock();
   return Out;
+}
+
+void ShardedRuntime::setRunParams(bool Ordered, resilience::FaultPlan Faults,
+                                  const resilience::CancellationTable *Cancel,
+                                  resilience::PressureBoard *Board) {
+  Config.Ordered = Ordered;
+  Config.Faults = std::move(Faults);
+  Config.Cancel = Cancel;
+  Config.Resilience.Board = Board;
+}
+
+void ShardedRuntime::trim() {
+  // Quiesced, no worker holds a hazard: recycling keeps only each
+  // shard's published state, and no window can start below it.
+  for (uint32_t S = 0; S != NumShards; ++S) {
+    std::lock_guard<std::mutex> Guard(Shards[S].CommitMutex);
+    recycleShardStates(S);
+    Shards[S].History->reclaimUpTo(Shards[S].Oldest->Version);
+  }
+  for (WorkerSlot &W : Workers)
+    W.CommitLog.clear();
 }
 
 size_t ShardedRuntime::historySize() const {
@@ -658,6 +687,70 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
   releaseAttempt(Worker, Mask);
 }
 
+void ShardedRuntime::drain(unsigned Slot) noexcept {
+  const std::vector<TaskFn> &Tasks = *RunTasks;
+  WorkerSlot &W = Workers[Slot];
+  obs::Observer *const O = obs::janusObs(Config.Obs);
+  while (true) {
+    size_t Idx = NextTask.fetch_add(1, std::memory_order_relaxed);
+    if (Idx >= Tasks.size())
+      return;
+    const uint32_t Tid = static_cast<uint32_t>(Idx + 1);
+    for (uint32_t Attempt = 1;; ++Attempt) {
+      // A task cancelled at the attempt boundary has made one attempt
+      // fewer than this one.
+      const bool Cancelled = Life->cancelled(Tid);
+      std::string ThrowMsg;
+      const Abort Why = Cancelled ? Abort::Cancelled
+                                  : runTask(Tasks[Idx], Tid, Attempt, Slot,
+                                            W, ThrowMsg);
+      if (Why == Abort::None)
+        break;
+      const uint32_t Made = Cancelled ? Attempt - 1 : Attempt;
+      const Lifecycle::Next N =
+          Life->next(Tid, Made, Slot, Why, ThrowMsg, W.Failures,
+                     Clock.load(std::memory_order_acquire));
+      if (N.Kind != Lifecycle::Step::Retry) {
+        const bool Serial = N.Kind == Lifecycle::Step::Serial;
+        commitSerial(Serial ? &Tasks[Idx] : nullptr, Tid, Made + 1, Slot, W);
+        break;
+      }
+      if (!O || !O->sampled(Tid)) {
+        cancellableBackoff(N.BackoffMicros, Config.Cancel, Tid);
+        continue;
+      }
+      double Ts = O->nowUs();
+      cancellableBackoff(N.BackoffMicros, Config.Cancel, Tid);
+      double Dur = O->nowUs() - Ts;
+      O->backoffWait().record(Dur);
+      O->span(Slot, "backoff", Tid, Attempt, Ts, Dur, "requested_us",
+              static_cast<double>(N.BackoffMicros), "retry");
+    }
+    ++Stats.Commits;
+    if (Config.Resilience.Board)
+      Config.Resilience.Board->CommitTicks.fetch_add(
+          1, std::memory_order_relaxed);
+  }
+}
+
+void ShardedRuntime::poolLoop(unsigned Slot) {
+  WorkerSlot &W = Workers[Slot];
+  std::unique_lock<std::mutex> Guard(PoolMutex);
+  while (true) {
+    W.WakeCv.wait(Guard, [this, &W] { return W.Wake || Stopping; });
+    if (!W.Wake)
+      return;
+    W.Wake = false;
+    Guard.unlock();
+    drain(Slot);
+    Guard.lock();
+    // Notified under the lock: run() may return, and the runtime be
+    // destroyed, as soon as the mutex is free.
+    if (--Busy == 0)
+      IdleCv.notify_one();
+  }
+}
+
 void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
   Stats.Tasks += Tasks.size();
   Life.emplace(Config, Tasks.size(), Stats);
@@ -669,65 +762,35 @@ void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
   }
   OrderBase.store(Clock.load(std::memory_order_acquire) - 1,
                   std::memory_order_release);
-  std::atomic<size_t> NextTask{0};
+  RunTasks = &Tasks;
+  NextTask.store(0, std::memory_order_relaxed);
 
-  auto Worker = [this, &Tasks, &NextTask](unsigned Slot) {
-    WorkerSlot &W = Workers[Slot];
-    obs::Observer *const O = obs::janusObs(Config.Obs);
-    while (true) {
-      size_t Idx = NextTask.fetch_add(1, std::memory_order_relaxed);
-      if (Idx >= Tasks.size())
-        return;
-      const uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-      for (uint32_t Attempt = 1;; ++Attempt) {
-        // A task cancelled at the attempt boundary has made one attempt
-        // fewer than this one.
-        const bool Cancelled = Life->cancelled(Tid);
-        std::string ThrowMsg;
-        const Abort Why = Cancelled ? Abort::Cancelled
-                                    : runTask(Tasks[Idx], Tid, Attempt, Slot,
-                                              W, ThrowMsg);
-        if (Why == Abort::None)
-          break;
-        const uint32_t Made = Cancelled ? Attempt - 1 : Attempt;
-        const Lifecycle::Next N =
-            Life->next(Tid, Made, Slot, Why, ThrowMsg, W.Failures,
-                       Clock.load(std::memory_order_acquire));
-        if (N.Kind != Lifecycle::Step::Retry) {
-          const bool Serial = N.Kind == Lifecycle::Step::Serial;
-          commitSerial(Serial ? &Tasks[Idx] : nullptr, Tid, Made + 1, Slot, W);
-          break;
-        }
-        if (!O || !O->sampled(Tid)) {
-          cancellableBackoff(N.BackoffMicros, Config.Cancel, Tid);
-          continue;
-        }
-        double Ts = O->nowUs();
-        cancellableBackoff(N.BackoffMicros, Config.Cancel, Tid);
-        double Dur = O->nowUs() - Ts;
-        O->backoffWait().record(Dur);
-        O->span(Slot, "backoff", Tid, Attempt, Ts, Dur, "requested_us",
-                static_cast<double>(N.BackoffMicros), "retry");
-      }
-      ++Stats.Commits;
-      if (Config.Resilience.Board)
-        Config.Resilience.Board->CommitTicks.fetch_add(
-            1, std::memory_order_relaxed);
+  // Wake slots 1..N-1 of the parked pool (spawned at the first
+  // multi-worker run; a spawn that threw is resumed by the next run
+  // rather than leaving a slot without its thread); the caller drains
+  // as slot 0.
+  const unsigned N = std::min<unsigned>(Config.NumThreads,
+                                        std::max<size_t>(Tasks.size(), 1));
+  if (N > 1) {
+    while (Pool.size() + 1 < Workers.size())
+      Pool.emplace_back(&ShardedRuntime::poolLoop, this,
+                        static_cast<unsigned>(Pool.size() + 1));
+    {
+      std::lock_guard<std::mutex> Guard(PoolMutex);
+      Busy = N - 1;
+      for (unsigned I = 1; I != N; ++I)
+        Workers[I].Wake = true;
     }
-  };
-
-  unsigned N = std::min<unsigned>(Config.NumThreads,
-                                  std::max<size_t>(Tasks.size(), 1));
-  if (N <= 1) {
-    Worker(0);
-  } else {
-    std::vector<std::thread> Threads;
-    Threads.reserve(N);
-    for (unsigned I = 0; I != N; ++I)
-      Threads.emplace_back(Worker, I);
-    for (std::thread &T : Threads)
-      T.join();
+    for (unsigned I = 1; I != N; ++I)
+      Workers[I].WakeCv.notify_one();
   }
+  drain(0);
+  if (N > 1) {
+    std::unique_lock<std::mutex> Guard(PoolMutex);
+    IdleCv.wait(Guard, [this] { return Busy == 0; });
+  }
+  RunTasks = nullptr;
+
   if (Config.RecordTrace) {
     for (WorkerSlot &W : Workers) {
       for (TraceEvent &E : W.Events)

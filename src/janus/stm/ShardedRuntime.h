@@ -68,8 +68,9 @@
 /// (validated store-then-recheck publication, all seq_cst); a
 /// committer recycles through a per-shard pool the chain prefix no
 /// hazard references, and (with ReclaimLogs, the engineering
-/// improvement of §7.2) the history records below it. See
-/// ShardedRuntime.cpp for the Dekker-style argument.
+/// improvement of §7.2) the history records below it; trim() drops
+/// the whole history of a quiesced engine. See ShardedRuntime.cpp for
+/// the Dekker-style argument.
 ///
 /// Lock hierarchy: OrderMutex and the shard CommitMutexes never nest.
 /// waitForTurn blocks under OrderMutex while the predecessor needs its
@@ -87,6 +88,13 @@
 /// placeholder commit under every shard lock. Trace events go to
 /// per-worker buffers merged into an `AuditTrace` when run() returns.
 ///
+/// Workers are a pool owned by the runtime: the first run with more
+/// than one worker spawns NumThreads - 1 threads, which park on their
+/// slot's condition variable between runs. A run wakes only the slots
+/// it uses (min(NumThreads, tasks)) and the calling thread works as
+/// slot 0, so a one-task run wakes no thread. The destructor stops and
+/// joins the pool.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JANUS_STM_SHARDEDRUNTIME_H
@@ -102,6 +110,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -109,8 +118,10 @@
 namespace janus {
 namespace stm {
 
-/// Configuration of a real-thread run.
+/// Configuration of a real-thread runtime. Ordered, Faults, Cancel and
+/// Resilience.Board are the per-run parameters (setRunParams).
 struct ShardedConfig {
+  /// Worker slots: the caller of run() plus NumThreads - 1 pool threads.
   unsigned NumThreads = 4;
   /// Location-keyed shards. Rounded up to a power of two and clamped
   /// to [1, MaxShards]; shard routing is `shardIndexOf(Loc, N)`.
@@ -170,9 +181,24 @@ public:
   void setInitialState(Snapshot S);
 
   /// Executes \p Tasks to completion (DOPARALLEL). Task ids are their
-  /// 1-based positions. May be called repeatedly; state persists
-  /// between calls.
+  /// 1-based positions. May be called repeatedly; state, history and
+  /// the dense global clock persist between calls.
   void run(const std::vector<TaskFn> &Tasks);
+
+  /// Replaces the per-run parameters — in-order commit, the fault plan,
+  /// the cancellation table and the pressure board — for the next
+  /// run() and later ones. Call between runs only: each run reads them
+  /// at its start.
+  void setRunParams(bool Ordered, resilience::FaultPlan Faults,
+                    const resilience::CancellationTable *Cancel,
+                    resilience::PressureBoard *Board);
+
+  /// Drops what the runs so far retain for inspection: every committed
+  /// history record up to each shard's published version, and every
+  /// commitOrder() entry. Call between runs only (a quiesced engine:
+  /// no transaction can query a window that starts before now). A
+  /// long-lived caller trims after each run to keep memory bounded.
+  void trim();
 
   /// \returns the shared state after the last run, merged across
   /// shards under all shard mutexes (a cross-shard-consistent cut;
@@ -189,9 +215,9 @@ public:
   /// (for the log-reclamation ablation).
   size_t historySize() const;
 
-  /// Task ids (1-based) in global commit order over every run so far
-  /// (merged from per-worker buffers, sorted by the dense global
-  /// clock stamps). The parallel final state equals a sequential
+  /// Task ids (1-based) in global commit order over every run since
+  /// construction or the last trim() (merged from per-worker buffers,
+  /// sorted by the dense global clock stamps). The parallel final state equals a sequential
   /// execution in this order (Theorem 4.1).
   std::vector<uint32_t> commitOrder() const;
 
@@ -286,6 +312,10 @@ private:
     /// (global commit stamp, task id) pairs; merged and sorted into
     /// the global commit order on demand.
     std::vector<std::pair<uint64_t, uint32_t>> CommitLog;
+    /// Parks the slot's pool thread between runs; Wake (guarded by
+    /// PoolMutex) says a run wants this slot.
+    std::condition_variable WakeCv;
+    bool Wake = false;
   };
 
   /// TxContext's view of one attempt: routes lazy shard acquisition
@@ -339,6 +369,17 @@ private:
   /// shard's CommitMutex.
   ShardState *allocState(Shard &Sh);
 
+  /// One worker's share of DOPARALLEL: claims tasks of the run in
+  /// progress and retries each until it commits, until none is left.
+  /// The lifecycle catches every body's exception; anything else that
+  /// escapes ends the program on every slot alike, so the caller never
+  /// unwinds while pool threads still read its tasks.
+  void drain(unsigned Slot) noexcept;
+
+  /// A pool thread's life: park until a run wakes slot \p Slot, drain
+  /// it, report idle; return once the runtime stops.
+  void poolLoop(unsigned Slot);
+
   const ObjectRegistry &Reg;
   ConflictDetector &Detector;
   ShardedConfig Config;
@@ -363,6 +404,9 @@ private:
 
   std::optional<Lifecycle> Life; ///< The run() in progress.
   std::vector<resilience::TaskFailure> Failures;
+  /// The run() in progress: its tasks and the next unclaimed index.
+  const std::vector<TaskFn> *RunTasks = nullptr;
+  std::atomic<size_t> NextTask{0};
 
   /// Per-shard commit/abort counters (janus::obs metrics registry);
   /// empty when observability is off. Pre-created in the constructor
@@ -372,6 +416,15 @@ private:
 
   AuditTrace Trace;
   RunStats Stats;
+
+  std::mutex PoolMutex;
+  /// Signalled when the last woken slot has drained the run.
+  std::condition_variable IdleCv;
+  unsigned Busy = 0;     ///< Woken slots still draining; PoolMutex.
+  bool Stopping = false; ///< Set by the destructor; PoolMutex.
+  /// Threads for worker slots 1..NumThreads-1, spawned at the first
+  /// multi-worker run. Declared last: they use every member above.
+  std::vector<std::thread> Pool;
 };
 
 } // namespace stm

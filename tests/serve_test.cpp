@@ -243,6 +243,34 @@ TEST(ServiceTest, EverySubmissionCommitsAndGetsOneReply) {
   EXPECT_EQ(World.counterValue(), N);
 }
 
+TEST(ServiceTest, BatchesRunOnceOnTheLiveEngine) {
+  // Every body execution is an engine attempt: no batch is executed a
+  // second time for a sequential baseline.
+  ServiceWorld World(/*Threads=*/4);
+  std::atomic<uint64_t> Bodies{0};
+  Location C = World.Counter;
+  std::vector<stm::TaskFn> Pool{[C, &Bodies](stm::TxContext &Tx) {
+    Bodies.fetch_add(1, std::memory_order_relaxed);
+    Tx.add(C, 1);
+  }};
+  ServeConfig SC;
+  SC.BatchMax = 16;
+  Service S(World.J, Pool, SC);
+
+  const int N = 64;
+  for (int I = 0; I != N; ++I)
+    EXPECT_TRUE(S.submit(/*Client=*/1 + (I % 4), /*SubId=*/I, 0));
+  S.requestStop();
+  S.serve();
+
+  EXPECT_EQ(S.report().Committed, uint64_t(N));
+  const stm::RunStats &RS = World.J.runStats();
+  EXPECT_EQ(RS.Commits.load(), uint64_t(N));
+  EXPECT_EQ(Bodies.load(std::memory_order_relaxed),
+            RS.Commits.load() + RS.Retries.load());
+  EXPECT_EQ(World.counterValue(), N);
+}
+
 TEST(ServiceTest, ExpiredDeadlinesGetDeadlineReplies) {
   ServiceWorld World;
   Service S(World.J, World.Pool, ServeConfig{});

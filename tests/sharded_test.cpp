@@ -133,6 +133,48 @@ TEST(ShardedRuntimeTest, EmptyTasksTakeTheAllocationFreeFastPath) {
   }
 }
 
+TEST(ShardedRuntimeTest, TrimDropsHistoryAndCommitOrderBetweenRuns) {
+  for (unsigned Shards : {1u, 4u}) {
+    ObjectRegistry Reg;
+    ObjectId Counter = Reg.registerObject("counter");
+    ObjectId Slots = Reg.registerObject("slots", "slots.elem");
+    WriteSetDetector D;
+    // No ReclaimLogs: the history is kept until the trim drops it.
+    ShardedConfig Cfg = shardedConfig(4, Shards);
+    Cfg.ReclaimLogs = false;
+    ShardedRuntime R(Reg, D, Cfg);
+
+    const int N = 64;
+    std::vector<TaskFn> Tasks;
+    for (int I = 0; I != N; ++I)
+      Tasks.push_back([Counter, Slots, I](TxContext &Tx) {
+        Tx.add(Location(Counter), 1);
+        Tx.write(Location(Slots, I), Value::of(int64_t(I)));
+      });
+    R.run(Tasks);
+    EXPECT_GE(R.historySize(), static_cast<size_t>(N)) << Shards;
+    EXPECT_EQ(R.commitOrder().size(), static_cast<size_t>(N)) << Shards;
+
+    R.trim();
+    EXPECT_EQ(R.historySize(), 0u) << Shards;
+    EXPECT_TRUE(R.commitOrder().empty()) << Shards;
+
+    // The next run detects against a window that starts after the
+    // trim and commits every task once more.
+    R.run(Tasks);
+    EXPECT_EQ(snapshotValue(R.sharedState(), Location(Counter)).asInt(),
+              2 * N)
+        << Shards;
+    std::vector<uint32_t> Order = R.commitOrder();
+    std::sort(Order.begin(), Order.end());
+    std::vector<uint32_t> Expected(N);
+    std::iota(Expected.begin(), Expected.end(), 1u);
+    EXPECT_EQ(Order, Expected) << Shards;
+    EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(2 * N))
+        << Shards;
+  }
+}
+
 TEST(ShardedRuntimeTest, MixedCommitKindsKeepTheGlobalClockDense) {
   ObjectRegistry Reg;
   ObjectId Slots = Reg.registerObject("slots", "slots.elem");

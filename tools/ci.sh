@@ -24,7 +24,8 @@
 #   7. observability: one traced workload per engine; the emitted
 #      Chrome trace must satisfy tools/check_trace.py (known event
 #      types only, well-formed spans), and the --json report must be
-#      parseable;
+#      parseable, with a positive sequential_time and speedup on the
+#      real-thread engine;
 #   8. perf smoke: micro_commit --quick (including the 1/4/16
 #      shard-count sweep) must run to completion, then
 #      tools/perfdiff.py gates the deltas against the committed
@@ -151,6 +152,17 @@ for E in sim threads; do
     --threads 4 --trace-out "$TRACE" --json-out "$REPORT" >/dev/null
   python3 "$REPO_ROOT/tools/check_trace.py" "$TRACE"
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$REPORT"
+  if [ "$E" = threads ]; then
+    # The real-thread engine runs each task once; the CLI times the
+    # sequential baseline on its own, and its speedup must survive.
+    python3 -c "
+import json, sys
+r = json.load(open(sys.argv[1]))
+if not (r['sequential_time'] > 0 and r['speedup'] > 0):
+    sys.exit('ci.sh: threads report has sequential_time %r, speedup %r'
+             % (r['sequential_time'], r['speedup']))
+" "$REPORT"
+  fi
 done
 echo "-- abort attribution JGraphT-1 (sim)"
 "$REPO_ROOT/build/tools/janus" explain --workload JGraphT-1 --engine sim \

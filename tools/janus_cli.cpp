@@ -623,6 +623,20 @@ bool exportTrace(Janus &J, const CliOptions &Opts,
   return true;
 }
 
+/// Runs \p Tasks on \p J in \p W's order mode. The real-thread engine
+/// executes a run's tasks once, so the speedup's denominator is timed
+/// here first, with the façade's sequential baseline; the simulator
+/// reports its own virtual baseline.
+RunOutcome runWithBaseline(Janus &J, const Workload &W,
+                           const std::vector<stm::TaskFn> &Tasks) {
+  const bool Threaded = J.config().Engine == EngineKind::Threaded;
+  const double Sequential = Threaded ? J.timeSequential(Tasks) : 0.0;
+  RunOutcome O = W.ordered() ? J.runInOrder(Tasks) : J.runOutOfOrder(Tasks);
+  if (Threaded)
+    O.SequentialTime = Sequential;
+  return O;
+}
+
 /// The versioned machine-readable run report. Shares escaping and the
 /// `schema_version` marker with bench/BenchCommon.h via support/Json.h.
 std::string runReportJson(const std::string &Command,
@@ -914,7 +928,7 @@ int cmdRun(const CliOptions &Opts) {
   J.setCancellations(&GRunCancel);
 
   PayloadSpec Payload{Opts.Seed, Opts.Production};
-  RunOutcome O = W->runOn(J, Payload);
+  RunOutcome O = runWithBaseline(J, *W, W->makeTasks(Payload));
   J.setCancellations(nullptr);
   const bool Interrupted = GStopRequested.load(std::memory_order_acquire);
   bool Verified = !Interrupted && W->verify(J, Payload);
@@ -1294,7 +1308,7 @@ int cmdExplain(const CliOptions &Opts) {
   }
 
   PayloadSpec Payload{Opts.Seed, Opts.Production};
-  RunOutcome O = W->runOn(J, Payload);
+  RunOutcome O = runWithBaseline(J, *W, W->makeTasks(Payload));
 
   obs::AbortAttribution A =
       obs::attributeAborts(J.lastTrace(), J.registry());
@@ -1387,8 +1401,7 @@ int cmdAudit(const CliOptions &Opts) {
   PayloadSpec Payload{Opts.Seed, Opts.Production};
   std::vector<stm::TaskFn> Tasks = W->makeTasks(Payload);
   stm::resetEscapes();
-  RunOutcome O =
-      W->ordered() ? J.runInOrder(Tasks) : J.runOutOfOrder(Tasks);
+  RunOutcome O = runWithBaseline(J, *W, Tasks);
 
   analysis::AuditReport Report =
       analysis::audit(J.lastTrace(), Tasks, J.registry());
