@@ -2,19 +2,14 @@
 ///
 /// \file
 /// Commit-path microbenchmark: begin/commit throughput of the real-thread
-/// engine (stm::ShardedRuntime) against a faithful replica of the
-/// coarse-locked design it replaced.
+/// engine (stm::ShardedRuntime).
 ///
-/// The pre-refactor runtime funneled every CREATETRANSACTION through a
-/// `std::shared_mutex` read-lock (plus an O(n) mutex-guarded
-/// ActiveBegins list), copied the conflict-history window per
-/// validation round, and replayed the log *inside* the exclusive
-/// section. `CoarseRuntime` below reproduces that hot path verbatim so
-/// the comparison stays meaningful on any machine, independent of git
-/// history. The "scalable" rows run the engine at one shard — a single
-/// commit point that publishes snapshots via one atomic pointer,
-/// borrows the history window from the segmented log, and pre-replays
-/// outside the commit mutex.
+/// The "scalable" rows run the engine at one shard — a single commit
+/// point that publishes snapshots via one atomic pointer, borrows the
+/// history window from the segmented log, and pre-replays outside the
+/// commit mutex. The bench measures the engine alone: a regression
+/// shows against the committed trajectory (BENCH_micro_commit.json),
+/// which tools/perfdiff.py compares row by row.
 ///
 /// Scenarios:
 ///   empty      — tasks log nothing: pure begin/commit overhead.
@@ -23,13 +18,10 @@
 ///   contended  — every task Adds to one counter: retry behaviour
 ///                under maximal data contention.
 ///   ordered    — in-order commits (the paper's sequential-semantics
-///                mode); each task yields once mid-body so transactions
+///                mode); each task yields mid-body so transactions
 ///                genuinely overlap even when the machine has fewer
-///                cores than workers. The pre-refactor runtime
-///                broadcast every commit to all waiting workers
-///                (O(threads) futile futex wakeups per commit); the
-///                scalable pipeline hands the turn to exactly the
-///                successor.
+///                cores than workers, and each commit hands the turn to
+///                exactly its successor.
 /// Sharded-pipeline scenarios (ShardedRuntime shard-count sweep; tasks
 /// yield mid-body so attempts genuinely overlap even on few cores —
 /// what the sweep varies is the *algorithmic* detection/validation
@@ -46,8 +38,7 @@
 ///
 /// `--json` / `--json-out=PATH` emit BENCH_micro_commit.json rows
 /// (median-of-N ns per committed transaction, commit/retry counts);
-/// `--quick` shrinks reps/tasks for the CI perf smoke, which gates on
-/// "ran to completion", not on numbers.
+/// `--quick` shrinks reps/tasks for the CI perf smoke.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,179 +50,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <condition_variable>
-#include <shared_mutex>
 #include <thread>
 
 using namespace janus;
 using namespace janus::stm;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// The pre-refactor runtime, preserved as the comparison baseline.
-// ---------------------------------------------------------------------------
-
-/// Figure 7 on one global shared_mutex: begins take it shared, commits
-/// take it exclusively and replay inside; the conflict-history window
-/// is re-copied from a vector every validation round.
-class CoarseRuntime {
-public:
-  CoarseRuntime(const ObjectRegistry &Reg, ConflictDetector &Detector,
-                unsigned NumThreads, bool Reclaim, bool Ordered)
-      : Reg(Reg), Detector(Detector), NumThreads(NumThreads),
-        Reclaim(Reclaim), Ordered(Ordered) {}
-
-  void run(const std::vector<TaskFn> &Tasks) {
-    OrderBase.store(Clock.load(std::memory_order_acquire) - 1,
-                    std::memory_order_release);
-    std::atomic<size_t> NextTask{0};
-    auto Worker = [this, &Tasks, &NextTask]() {
-      while (true) {
-        size_t Idx = NextTask.fetch_add(1, std::memory_order_relaxed);
-        if (Idx >= Tasks.size())
-          return;
-        uint32_t Tid = static_cast<uint32_t>(Idx + 1);
-        while (!runTask(Tasks[Idx], Tid))
-          ++Stats.Retries;
-        ++Stats.Commits;
-      }
-    };
-    unsigned N = std::min<unsigned>(NumThreads,
-                                    std::max<size_t>(Tasks.size(), 1));
-    if (N <= 1) {
-      Worker();
-    } else {
-      std::vector<std::thread> Threads;
-      Threads.reserve(N);
-      for (unsigned I = 0; I != N; ++I)
-        Threads.emplace_back(Worker);
-      for (std::thread &T : Threads)
-        T.join();
-    }
-  }
-
-  Snapshot sharedState() const { return Shared; }
-  RunStats &stats() { return Stats; }
-
-private:
-  struct CommittedRecord {
-    uint64_t CommitTime;
-    TxLogRef Log;
-  };
-
-  std::vector<TxLogRef> committedHistory(uint64_t Begin, uint64_t Now) const {
-    std::vector<TxLogRef> Out;
-    auto Lo = std::lower_bound(History.begin(), History.end(), Begin + 1,
-                               [](const CommittedRecord &R, uint64_t T) {
-                                 return R.CommitTime < T;
-                               });
-    for (auto It = Lo; It != History.end() && It->CommitTime <= Now; ++It)
-      Out.push_back(It->Log);
-    return Out;
-  }
-
-  bool runTask(const TaskFn &Task, uint32_t Tid) {
-    uint64_t Begin;
-    Snapshot Entry;
-    {
-      std::shared_lock<std::shared_mutex> Guard(Lock);
-      Begin = Clock.load(std::memory_order_acquire);
-      Entry = Shared;
-      std::lock_guard<std::mutex> ActiveGuard(ActiveMutex);
-      ActiveBegins.push_back(Begin);
-    }
-
-    TxContext Tx(Entry, Tid, Reg, &Stats);
-    Task(Tx);
-    Tx.endAttempt();
-    TxLogRef Log = std::make_shared<const TxLog>(Tx.log());
-
-    auto RemoveActive = [this, Begin]() {
-      std::lock_guard<std::mutex> ActiveGuard(ActiveMutex);
-      auto It = std::find(ActiveBegins.begin(), ActiveBegins.end(), Begin);
-      ActiveBegins.erase(It);
-    };
-
-    // The pre-refactor turn-taking: one global condition variable,
-    // broadcast on every commit, every waiter re-checks its predicate.
-    if (Ordered) {
-      uint64_t Target = OrderBase.load(std::memory_order_acquire) + Tid;
-      std::unique_lock<std::mutex> Guard(OrderMutex);
-      OrderCv.wait(Guard, [this, Target]() {
-        return Clock.load(std::memory_order_acquire) >= Target;
-      });
-    }
-
-    while (true) {
-      uint64_t Now = Clock.load(std::memory_order_acquire);
-      std::vector<TxLogRef> OpsC;
-      {
-        std::shared_lock<std::shared_mutex> Guard(Lock);
-        OpsC = committedHistory(Begin, Now);
-      }
-      ++Stats.ConflictChecks;
-      if (Detector.detectConflicts(Entry, *Log, OpsC, Reg)) {
-        RemoveActive();
-        return false;
-      }
-      {
-        std::unique_lock<std::shared_mutex> Guard(Lock);
-        uint64_t Current = Clock.load(std::memory_order_acquire);
-        if (Current != Now) {
-          ++Stats.ValidationFailures;
-          continue;
-        }
-        uint64_t CommitTime = Current + 1;
-        Clock.store(CommitTime, std::memory_order_release);
-        for (const LogEntry &E : *Log)
-          Shared = applyToSnapshot(Shared, E.Loc, E.Op);
-        History.push_back(CommittedRecord{CommitTime, Log});
-        RemoveActive();
-        if (Reclaim) {
-          uint64_t MinBegin = CommitTime;
-          {
-            std::lock_guard<std::mutex> ActiveGuard(ActiveMutex);
-            for (uint64_t B : ActiveBegins)
-              MinBegin = std::min(MinBegin, B);
-          }
-          auto Keep = std::lower_bound(
-              History.begin(), History.end(), MinBegin + 1,
-              [](const CommittedRecord &R, uint64_t T) {
-                return R.CommitTime < T;
-              });
-          History.erase(History.begin(), Keep);
-        }
-      }
-      if (Ordered) {
-        std::lock_guard<std::mutex> Guard(OrderMutex);
-        OrderCv.notify_all();
-      }
-      return true;
-    }
-  }
-
-  const ObjectRegistry &Reg;
-  ConflictDetector &Detector;
-  unsigned NumThreads;
-  bool Reclaim;
-  bool Ordered;
-
-  mutable std::shared_mutex Lock;
-  std::atomic<uint64_t> Clock{1};
-  Snapshot Shared;
-  std::vector<CommittedRecord> History;
-  std::mutex ActiveMutex;
-  std::vector<uint64_t> ActiveBegins;
-  std::mutex OrderMutex;
-  std::condition_variable OrderCv;
-  std::atomic<uint64_t> OrderBase{0};
-  RunStats Stats;
-};
-
-// ---------------------------------------------------------------------------
-// Harness.
-// ---------------------------------------------------------------------------
 
 struct Scenario {
   const char *Name;
@@ -372,40 +196,38 @@ ShardedConfig engineConfig(unsigned Threads, unsigned Shards, bool Ordered) {
 
 /// One timed repetition on a fresh runtime; \returns ns per committed
 /// transaction.
-template <typename MakeRuntime>
 RunResult timedRep(const Scenario &S, const std::string &Detector,
-                   int NumTasks, MakeRuntime &&Make) {
+                   const ShardedConfig &Cfg) {
   ObjectRegistry Reg;
   ObjectId Counter = Reg.registerObject("counter");
   Reg.declareAdt(Counter, AdtKind::Counter);
   ObjectId Arr = Reg.registerObject("slots", "slots.elem");
   std::unique_ptr<ConflictDetector> Det = makeDetector(Detector);
-  auto Runtime = Make(Reg, *Det);
-  std::vector<TaskFn> Tasks = makeTasks(S, Counter, Arr, NumTasks);
+  ShardedRuntime Runtime(Reg, *Det, Cfg);
+  std::vector<TaskFn> Tasks = makeTasks(S, Counter, Arr, S.Tasks);
 
   auto Start = std::chrono::steady_clock::now();
-  Runtime->run(Tasks);
+  Runtime.run(Tasks);
   double Ns = std::chrono::duration<double, std::nano>(
                   std::chrono::steady_clock::now() - Start)
                   .count();
 
   RunResult R;
-  R.Commits = Runtime->stats().Commits.load();
-  R.Retries = Runtime->stats().Retries.load();
-  JANUS_ASSERT(R.Commits == static_cast<uint64_t>(NumTasks),
+  R.Commits = Runtime.stats().Commits.load();
+  R.Retries = Runtime.stats().Retries.load();
+  JANUS_ASSERT(R.Commits == static_cast<uint64_t>(S.Tasks),
                "every task must commit exactly once");
-  R.NsPerCommit = Ns / static_cast<double>(NumTasks);
+  R.NsPerCommit = Ns / static_cast<double>(S.Tasks);
   return R;
 }
 
 /// Median-of-reps measurement.
-template <typename MakeRuntime>
-RunResult measure(const Scenario &S, const std::string &Detector,
-                  int NumTasks, int Reps, MakeRuntime &&Make) {
+RunResult measure(const Scenario &S, const std::string &Detector, int Reps,
+                  const ShardedConfig &Cfg) {
   std::vector<RunResult> Results;
   Results.reserve(Reps);
   for (int I = 0; I != Reps; ++I)
-    Results.push_back(timedRep(S, Detector, NumTasks, Make));
+    Results.push_back(timedRep(S, Detector, Cfg));
   std::sort(Results.begin(), Results.end(),
             [](const RunResult &A, const RunResult &B) {
               return A.NsPerCommit < B.NsPerCommit;
@@ -438,65 +260,34 @@ int main(int Argc, char **Argv) {
   Report.setMeta("hw_threads",
                  static_cast<unsigned>(std::thread::hardware_concurrency()));
 
-  std::printf("micro_commit: begin/commit throughput, coarse-locked "
-              "baseline vs scalable pipeline\n(median of %d reps, "
-              "ns per committed transaction; reclamation on)\n\n",
+  std::printf("micro_commit: begin/commit throughput of the real-thread "
+              "engine at one shard\n(median of %d reps, ns per committed "
+              "transaction; reclamation on)\n\n",
               Reps);
 
-  double BestRatioAt4 = 0.0;
-  std::string BestLabel;
   for (const Scenario &S : Scenarios) {
     for (const char *Det : Detectors) {
       TextTable T;
-      T.setHeader({"threads", "coarse ns/commit", "scalable ns/commit",
-                   "speedup", "retries (c/s)"});
+      T.setHeader({"threads", "ns/commit", "retries"});
       for (unsigned N : Threads) {
-        RunResult Coarse = measure(
-            S, Det, S.Tasks, Reps, [N, &S](const ObjectRegistry &Reg,
-                                           ConflictDetector &D) {
-              return std::make_unique<CoarseRuntime>(Reg, D, N,
-                                                     /*Reclaim=*/true,
-                                                     S.Ordered);
-            });
-        RunResult Scalable = measure(
-            S, Det, S.Tasks, Reps, [N, &S](const ObjectRegistry &Reg,
-                                           ConflictDetector &D) {
-              return std::make_unique<ShardedRuntime>(
-                  Reg, D, engineConfig(N, /*Shards=*/1, S.Ordered));
-            });
-        double Ratio = Scalable.NsPerCommit > 0.0
-                           ? Coarse.NsPerCommit / Scalable.NsPerCommit
-                           : 0.0;
-        if (N >= 4 && Ratio > BestRatioAt4) {
-          BestRatioAt4 = Ratio;
-          BestLabel = std::string(S.Name) + "/" + Det;
-        }
-        T.addRow({std::to_string(N), formatDouble(Coarse.NsPerCommit, 0),
-                  formatDouble(Scalable.NsPerCommit, 0),
-                  formatDouble(Ratio, 2) + "x",
-                  std::to_string(Coarse.Retries) + "/" +
-                      std::to_string(Scalable.Retries)});
-        for (const char *Engine : {"coarse", "scalable"}) {
-          const RunResult &R =
-              std::string(Engine) == "coarse" ? Coarse : Scalable;
-          Report.addRow({{"engine", Engine},
-                         {"detector", Det},
-                         {"scenario", S.Name},
-                         {"ordered", S.Ordered},
-                         {"threads", N},
-                         {"tasks", S.Tasks},
-                         {"ns_per_commit", R.NsPerCommit},
-                         {"commits", R.Commits},
-                         {"retries", R.Retries}});
-        }
+        RunResult R = measure(S, Det, Reps,
+                              engineConfig(N, /*Shards=*/1, S.Ordered));
+        T.addRow({std::to_string(N), formatDouble(R.NsPerCommit, 0),
+                  std::to_string(R.Retries)});
+        Report.addRow({{"engine", "scalable"},
+                       {"detector", Det},
+                       {"scenario", S.Name},
+                       {"ordered", S.Ordered},
+                       {"threads", N},
+                       {"tasks", S.Tasks},
+                       {"ns_per_commit", R.NsPerCommit},
+                       {"commits", R.Commits},
+                       {"retries", R.Retries}});
       }
       std::printf("[scenario=%s detector=%s tasks=%d]\n%s\n", S.Name, Det,
                   S.Tasks, T.render().c_str());
     }
   }
-
-  std::printf("Best scalable-vs-coarse ratio at >=4 threads: %.2fx (%s)\n",
-              BestRatioAt4, BestLabel.c_str());
 
   // -------------------------------------------------------------------
   // Sharded pipeline: shard-count sweep (location-sharded commit
@@ -518,12 +309,8 @@ int main(int Argc, char **Argv) {
       std::vector<std::string> Row{std::to_string(N)};
       double Sh1 = 0.0, Sh16 = 0.0;
       for (unsigned NS : ShardCounts) {
-        RunResult R = measure(
-            S, "ws", S.Tasks, Reps,
-            [N, NS](const ObjectRegistry &Reg, ConflictDetector &D) {
-              return std::make_unique<ShardedRuntime>(
-                  Reg, D, engineConfig(N, NS, /*Ordered=*/false));
-            });
+        RunResult R =
+            measure(S, "ws", Reps, engineConfig(N, NS, /*Ordered=*/false));
         if (NS == 1)
           Sh1 = R.NsPerCommit;
         if (NS == 16)

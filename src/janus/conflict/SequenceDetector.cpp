@@ -1,7 +1,6 @@
 #include "janus/conflict/SequenceDetector.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 
 using namespace janus;
@@ -66,24 +65,10 @@ PairQuery conflict::buildPairQueryFrom(const std::string &LocClass,
   return Q;
 }
 
-static unsigned roundUpPow2(unsigned N) {
-  unsigned P = 1;
-  while (P < N && P < (1u << 16))
-    P <<= 1;
-  return P;
-}
-
 SequenceDetector::SequenceDetector(std::shared_ptr<CommutativityCache> Cache,
                                    SequenceDetectorConfig Config)
     : Cache(std::move(Cache)), Config(Config) {
   JANUS_ASSERT(this->Cache != nullptr, "detector requires a cache");
-  unsigned N = roundUpPow2(Config.Shards ? Config.Shards : 1);
-  Tracking.reserve(N);
-  Memos.reserve(N);
-  for (unsigned I = 0; I != N; ++I) {
-    Tracking.push_back(std::make_unique<TrackShard>());
-    Memos.push_back(std::make_unique<MemoShard>());
-  }
 }
 
 /// Injective textual key over a concrete sequence: per op the kind,
@@ -131,8 +116,7 @@ SequenceDetector::abstracted(const LocOpSeq &Seq) {
     return Fresh;
   }
   std::string Key = memoKey(Seq);
-  MemoShard &S =
-      *Memos[std::hash<std::string>{}(Key) & (Memos.size() - 1)];
+  MemoShard &S = Memos[std::hash<std::string>{}(Key) & (Stripes - 1)];
   {
     std::shared_lock<std::shared_mutex> Guard(S.Mutex);
     auto It = S.Memo.find(Key);
@@ -151,7 +135,7 @@ SequenceDetector::abstracted(const LocOpSeq &Seq) {
   // when many concrete sequences share one abstraction.
   Fresh->Id = internIn(SigIds, Fresh->Sig);
   std::unique_lock<std::shared_mutex> Guard(S.Mutex);
-  if (S.Memo.size() < MaxMemoEntries / Memos.size())
+  if (S.Memo.size() < MaxMemoEntries / Stripes)
     S.Memo.emplace(std::move(Key), Fresh);
   return Fresh;
 }
@@ -167,18 +151,18 @@ std::string SequenceDetector::name() const {
 
 size_t SequenceDetector::uniqueQueries() const {
   size_t N = 0;
-  for (const auto &S : Tracking) {
-    std::lock_guard<std::mutex> Guard(S->Mutex);
-    N += S->Seen.size() + S->SeenIds.size();
+  for (const TrackShard &S : Tracking) {
+    std::lock_guard<std::mutex> Guard(S.Mutex);
+    N += S.Seen.size() + S.SeenIds.size();
   }
   return N;
 }
 
 size_t SequenceDetector::uniqueMisses() const {
   size_t N = 0;
-  for (const auto &S : Tracking) {
-    std::lock_guard<std::mutex> Guard(S->Mutex);
-    N += S->Missed.size();
+  for (const TrackShard &S : Tracking) {
+    std::lock_guard<std::mutex> Guard(S.Mutex);
+    N += S.Missed.size();
   }
   return N;
 }
@@ -187,9 +171,9 @@ std::vector<std::string> SequenceDetector::missedQueryKeys() const {
   // Keys are disjoint across shards; merge and restore the sorted
   // order the single-set implementation used to provide.
   std::vector<std::string> Out;
-  for (const auto &S : Tracking) {
-    std::lock_guard<std::mutex> Guard(S->Mutex);
-    Out.insert(Out.end(), S->Missed.begin(), S->Missed.end());
+  for (const TrackShard &S : Tracking) {
+    std::lock_guard<std::mutex> Guard(S.Mutex);
+    Out.insert(Out.end(), S.Missed.begin(), S.Missed.end());
   }
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
@@ -197,11 +181,11 @@ std::vector<std::string> SequenceDetector::missedQueryKeys() const {
 }
 
 void SequenceDetector::resetUniqueQueryTracking() {
-  for (const auto &S : Tracking) {
-    std::lock_guard<std::mutex> Guard(S->Mutex);
-    S->Seen.clear();
-    S->Missed.clear();
-    S->SeenIds.clear();
+  for (TrackShard &S : Tracking) {
+    std::lock_guard<std::mutex> Guard(S.Mutex);
+    S.Seen.clear();
+    S.Missed.clear();
+    S.SeenIds.clear();
   }
 }
 
@@ -216,7 +200,7 @@ void SequenceDetector::trackQuery(const CacheKey &Key, uint64_t MineId,
       uint64_t H = ClassId * 0x9e3779b97f4a7c15ULL;
       H ^= MineId + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
       H ^= TheirsId + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-      TrackShard &S = *Tracking[H & (Tracking.size() - 1)];
+      TrackShard &S = Tracking[H & (Stripes - 1)];
       std::lock_guard<std::mutex> Guard(S.Mutex);
       S.SeenIds.insert(IdKey);
       if (Missed)
@@ -225,8 +209,7 @@ void SequenceDetector::trackQuery(const CacheKey &Key, uint64_t MineId,
     }
   }
   std::string KeyStr = Key.toString();
-  TrackShard &S =
-      *Tracking[std::hash<std::string>{}(KeyStr) & (Tracking.size() - 1)];
+  TrackShard &S = Tracking[std::hash<std::string>{}(KeyStr) & (Stripes - 1)];
   std::lock_guard<std::mutex> Guard(S.Mutex);
   if (Missed)
     S.Missed.insert(KeyStr);
@@ -394,15 +377,6 @@ bool SequenceDetector::detectConflicts(const stm::Snapshot &Entry,
   Decomposition MineD = decompose(Mine);
   Decomposition TheirsD = decomposeAll(Committed);
 
-  // Adaptive degradation deadline for this whole call (checked per
-  // location; 0 = unlimited).
-  using DetClock = std::chrono::steady_clock;
-  DetClock::time_point Deadline{};
-  const bool HasDeadline = Config.DetectTimeBudgetMicros != 0;
-  if (HasDeadline)
-    Deadline = DetClock::now() +
-               std::chrono::microseconds(Config.DetectTimeBudgetMicros);
-
   // Private locations are safely ignored: only the common domain is
   // analyzed (Figure 8: loc ∈ DOM(mt) ∩ DOM(mc)).
   for (const auto &[Loc, MySeq] : MineD) {
@@ -412,10 +386,9 @@ bool SequenceDetector::detectConflicts(const stm::Snapshot &Entry,
     ++Stats.PairQueries;
     const ObjectInfo &Info = Reg.info(Loc.Obj);
     Value EntryVal = stm::snapshotValue(Entry, Loc);
-    bool Degrade =
-        (HasDeadline && DetClock::now() >= Deadline) ||
-        (Config.OnlineOpBudget != 0 &&
-         MySeq.size() + It->second.size() > Config.OnlineOpBudget);
+    const bool Degrade =
+        Config.OnlineOpBudget != 0 &&
+        MySeq.size() + It->second.size() > Config.OnlineOpBudget;
     if (locationConflicts(EntryVal, MySeq, It->second, Info, Degrade)) {
       ++Stats.ConflictsFound;
       return true;

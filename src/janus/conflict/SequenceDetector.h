@@ -30,6 +30,7 @@
 #include "janus/conflict/SpecTable.h"
 #include "janus/stm/Detector.h"
 
+#include <array>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -114,19 +115,6 @@ struct SequenceDetectorConfig {
   /// harnesses (Figure 11) see the full query stream; the CLI defaults
   /// to On.
   SpecMode Specs = SpecMode::Off;
-  /// Lock stripes for the signature memo and the unique-query tracking
-  /// tables (rounded up to a power of two). Detection rounds running on
-  /// different worker threads hash to different stripes, so the memo
-  /// stops being a single contended lock.
-  unsigned Shards = 8;
-  /// Adaptive degradation: wall-clock budget (microseconds) for one
-  /// detectConflicts call. Once exceeded, the remaining per-location
-  /// queries skip symbolization/abstraction/online evaluation and are
-  /// answered by the conservative write-set test (sound — it only
-  /// over-reports conflicts), counted in DetectorStats::DegradedQueries.
-  /// 0 = unlimited. Wall-clock-based, hence nondeterministic; prefer
-  /// OnlineOpBudget where reproducibility matters.
-  uint64_t DetectTimeBudgetMicros = 0;
   /// Adaptive degradation: a per-location query whose two sequences
   /// together exceed this many operations degrades to the write-set
   /// test (the sequence machinery is superlinear in sequence length).
@@ -216,9 +204,13 @@ private:
         Memo;
   };
 
-  std::vector<std::unique_ptr<TrackShard>> Tracking; ///< Pow-2 size.
-  std::vector<std::unique_ptr<MemoShard>> Memos;     ///< Pow-2 size.
-  /// Total memo capacity, split evenly across the shards.
+  /// Lock stripes of the memo and the tracking tables: detection
+  /// rounds running on different worker threads hash to different
+  /// stripes, so neither is a single contended lock. A power of two.
+  static constexpr size_t Stripes = 8;
+  std::array<TrackShard, Stripes> Tracking;
+  std::array<MemoShard, Stripes> Memos;
+  /// Total memo capacity, split evenly across the stripes.
   static constexpr size_t MaxMemoEntries = 1u << 16;
 
   /// Hash-cons tables: distinct signature text → id, distinct location

@@ -73,24 +73,21 @@ void Service::replyOut(const Reply &R) {
     Sink(R);
 }
 
-void Service::admissionDone(uint64_t Client) {
-  std::lock_guard<std::mutex> G(AdmMutex);
-  ClientAdmission &C = Admissions[Client];
-  JANUS_ASSERT(C.Pending > 0, "reply without admission");
-  --C.Pending;
-}
-
 void Service::shed(uint64_t Client, uint64_t SubId, const char *Why) {
   Sheds.fetch_add(1, std::memory_order_relaxed);
   if (CtrSheds)
     CtrSheds->add(1);
-  tallyClient(Client, ReplyStatus::Overloaded);
+  tallyReply(Client, ReplyStatus::Overloaded, /*Admitted=*/false);
   replyOut(Reply{Client, SubId, ReplyStatus::Overloaded, Why});
 }
 
-void Service::tallyClient(uint64_t Client, ReplyStatus S) {
+void Service::tallyReply(uint64_t Client, ReplyStatus S, bool Admitted) {
   std::lock_guard<std::mutex> G(AdmMutex);
   ClientAdmission &C = Admissions[Client];
+  if (Admitted) {
+    JANUS_ASSERT(C.Pending > 0, "reply without admission");
+    --C.Pending;
+  }
   switch (S) {
   case ReplyStatus::Committed:
     ++C.Committed;
@@ -210,8 +207,7 @@ size_t Service::buildBatch(std::vector<Submission> &Batch) {
           DeadlineFailures.fetch_add(1, std::memory_order_relaxed);
           if (CtrDeadline)
             CtrDeadline->add(1);
-          admissionDone(S.Client);
-          tallyClient(S.Client, ReplyStatus::Deadline);
+          tallyReply(S.Client, ReplyStatus::Deadline);
           replyOut(Reply{S.Client, S.SubId, ReplyStatus::Deadline,
                          "deadline exceeded before start"});
           continue;
@@ -312,13 +308,12 @@ void Service::runBatch(std::vector<Submission> &Batch) {
       ByTid[F.Tid - 1] = &F;
   for (size_t I = 0; I != N; ++I) {
     const Submission &S = Batch[I];
-    admissionDone(S.Client);
     const resilience::TaskFailure *F = ByTid[I];
     if (!F) {
       CommittedN.fetch_add(1, std::memory_order_relaxed);
       if (CtrCommitted)
         CtrCommitted->add(1);
-      tallyClient(S.Client, ReplyStatus::Committed);
+      tallyReply(S.Client, ReplyStatus::Committed);
       replyOut(Reply{S.Client, S.SubId, ReplyStatus::Committed, {}});
       continue;
     }
@@ -327,19 +322,19 @@ void Service::runBatch(std::vector<Submission> &Batch) {
       DeadlineFailures.fetch_add(1, std::memory_order_relaxed);
       if (CtrDeadline)
         CtrDeadline->add(1);
-      tallyClient(S.Client, ReplyStatus::Deadline);
+      tallyReply(S.Client, ReplyStatus::Deadline);
       replyOut(Reply{S.Client, S.SubId, ReplyStatus::Deadline, F->Reason});
       break;
     case resilience::TaskFailure::Kind::Shutdown:
       DrainedInflight.fetch_add(1, std::memory_order_relaxed);
       if (CtrDrained)
         CtrDrained->add(1);
-      tallyClient(S.Client, ReplyStatus::Cancelled);
+      tallyReply(S.Client, ReplyStatus::Cancelled);
       replyOut(Reply{S.Client, S.SubId, ReplyStatus::Cancelled, F->Reason});
       break;
     case resilience::TaskFailure::Kind::Exception:
       FailedN.fetch_add(1, std::memory_order_relaxed);
-      tallyClient(S.Client, ReplyStatus::Failed);
+      tallyReply(S.Client, ReplyStatus::Failed);
       replyOut(Reply{S.Client, S.SubId, ReplyStatus::Failed, F->Reason});
       break;
     }
@@ -356,8 +351,7 @@ void Service::failBacklog() {
       DrainedInflight.fetch_add(1, std::memory_order_relaxed);
       if (CtrDrained)
         CtrDrained->add(1);
-      admissionDone(S.Client);
-      tallyClient(S.Client, ReplyStatus::Cancelled);
+      tallyReply(S.Client, ReplyStatus::Cancelled);
       replyOut(
           Reply{S.Client, S.SubId, ReplyStatus::Cancelled,
                 "drain hard deadline"});

@@ -252,14 +252,13 @@ private:
 
   /// Emits the terminal reply for \p R (exactly once per submission).
   void replyOut(const Reply &R);
-  /// Decrements the client's pending count after a terminal reply for
-  /// an *admitted* submission.
-  void admissionDone(uint64_t Client);
   /// Sheds \p Client's submission \p SubId: counts it and emits the
   /// Overloaded reply.
   void shed(uint64_t Client, uint64_t SubId, const char *Why);
-  /// Tallies a terminal outcome into the client's rollup counters.
-  void tallyClient(uint64_t Client, ReplyStatus S);
+  /// Tallies a terminal outcome into the client's rollup counters and,
+  /// for an \p Admitted submission, retires it from the client's
+  /// pending count — one AdmMutex acquisition per terminal reply.
+  void tallyReply(uint64_t Client, ReplyStatus S, bool Admitted = true);
 
   /// Moves everything the MPSC queue currently holds into the lanes.
   void drainQueueIntoLanes();

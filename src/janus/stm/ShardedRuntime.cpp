@@ -56,7 +56,8 @@ ShardedRuntime::ShardedRuntime(const ObjectRegistry &Reg,
                                ConflictDetector &Detector,
                                ShardedConfig Config)
     : Reg(Reg), Detector(Detector), Config(Config),
-      NumShards(normalizeShardCount(Config.NumShards)), Shards(NumShards),
+      NumShards(normalizeShardCount(Config.NumShards)),
+      AllShards(~uint64_t{0} >> (64 - NumShards)), Shards(NumShards),
       Workers(std::max(1u, Config.NumThreads)) {
   JANUS_ASSERT(Config.NumThreads >= 1, "need at least one thread");
   const uint32_t SegRecords =
@@ -124,23 +125,11 @@ void ShardedRuntime::setInitialState(Snapshot S) {
       uint32_t Idx = shardIndexOf(L, NumShards);
       Parts[Idx] = Parts[Idx].set(L, V);
     });
+  ShardState *Cur[MaxShards] = {};
+  lockShards(AllShards, Cur);
   for (uint32_t I = 0; I != NumShards; ++I)
-    Shards[I].CommitMutex.lock();
-  for (uint32_t I = 0; I != NumShards; ++I) {
-    Shard &Sh = Shards[I];
-    ShardState *Cur = Sh.Published.load(std::memory_order_relaxed);
-    ShardState *Next = allocState(Sh);
-    Next->GlobalTime = Cur->GlobalTime;
-    Next->Version = Cur->Version;
-    Next->State = std::move(Parts[I]);
-    Next->HistoryTail = Cur->HistoryTail;
-    Next->Newer = nullptr;
-    Cur->Newer = Next;
-    Sh.Published.store(Next, std::memory_order_seq_cst);
-    recycleShardStates(I);
-  }
-  for (uint32_t I = NumShards; I--;)
-    Shards[I].CommitMutex.unlock();
+    publish(I, Cur[I], std::move(Parts[I]));
+  unlockShards(AllShards);
 }
 
 Snapshot ShardedRuntime::sharedState() const {
@@ -149,17 +138,14 @@ Snapshot ShardedRuntime::sharedState() const {
   // all their mutexes, so it is either entirely visible here or not at
   // all. Shard key sets are disjoint, so the merge starts from shard
   // 0's slice (O(1) at one shard) and inserts the others into it.
-  for (uint32_t I = 0; I != NumShards; ++I)
-    Shards[I].CommitMutex.lock();
-  Snapshot Out = Shards[0].Published.load(std::memory_order_relaxed)->State;
-  for (uint32_t I = 1; I != NumShards; ++I) {
-    const ShardState *P = Shards[I].Published.load(std::memory_order_relaxed);
-    P->State.forEach([&Out](const Location &L, const Value &V) {
+  ShardState *Cur[MaxShards] = {};
+  lockShards(AllShards, Cur);
+  Snapshot Out = Cur[0]->State;
+  for (uint32_t I = 1; I != NumShards; ++I)
+    Cur[I]->State.forEach([&Out](const Location &L, const Value &V) {
       Out = Out.set(L, V);
     });
-  }
-  for (uint32_t I = NumShards; I--;)
-    Shards[I].CommitMutex.unlock();
+  unlockShards(AllShards);
   return Out;
 }
 
@@ -177,7 +163,7 @@ void ShardedRuntime::trim() {
   // shard's published state, and no window can start below it.
   for (uint32_t S = 0; S != NumShards; ++S) {
     std::lock_guard<std::mutex> Guard(Shards[S].CommitMutex);
-    recycleShardStates(S);
+    recycleShardStates(S, Shards[S].Published.load(std::memory_order_relaxed));
     Shards[S].History->reclaimUpTo(Shards[S].Oldest->Version);
   }
   for (WorkerSlot &W : Workers)
@@ -230,41 +216,134 @@ void ShardedRuntime::acquireShard(uint32_t S, WorkerSlot &Worker) {
   V.Private = V.Entry;
   V.Stamp = P->GlobalTime;
   V.Acquired = true;
+  // The rest of the scratch is clean: releaseAttempt reset it.
   AttemptShard &A = Worker.Attempt[S];
   A.Now = P;
-  A.EntryVersion = P->Version;
+  A.EntryVersion = A.Detected = P->Version;
   A.Window.emplace(P->HistoryTail, P->Version);
-  A.OpsC.clear();
-  A.Projection.clear();
-  A.ProjRef.reset();
-  A.Detected = P->Version;
-  A.ReplayedVersion = 0;
-  A.Replayed = Snapshot{};
 }
 
 void ShardedRuntime::releaseAttempt(WorkerSlot &Worker, uint64_t Mask) {
-  for (uint64_t M = Mask; M;) {
-    const uint32_t S = static_cast<uint32_t>(std::countr_zero(M));
-    M &= M - 1;
+  for (uint64_t M = Mask; M; M &= M - 1) {
+    const auto S = static_cast<uint32_t>(std::countr_zero(M));
     // The seq_cst clear is what recycling synchronizes with: a
     // committer that observes it may rewrite the state we just used.
     Worker.Hazards[S].store(nullptr, std::memory_order_seq_cst);
-    ShardBackend::View &V = Worker.Views[S];
-    V.Entry = Snapshot{};
-    V.Private = Snapshot{};
-    V.Stamp = 0;
-    V.Acquired = false;
-    AttemptShard &A = Worker.Attempt[S];
-    A.Now = nullptr;
-    A.EntryVersion = 0;
-    A.Window.reset();
-    A.OpsC.clear();
-    A.Projection.clear();
-    A.ProjRef.reset();
-    A.Detected = 0;
-    A.ReplayedVersion = 0;
-    A.Replayed = Snapshot{};
+    Worker.Views[S] = ShardBackend::View{};
+    Worker.Attempt[S].reset();
   }
+}
+
+void ShardedRuntime::projectLog(const TxLogRef &Log, uint64_t Mask,
+                                WorkerSlot &Worker) {
+  if ((Mask & (Mask - 1)) == 0) {
+    if (Mask)
+      Worker.Attempt[std::countr_zero(Mask)].Log = Log;
+    return;
+  }
+  for (const LogEntry &E : *Log)
+    Worker.Attempt[shardIndexOf(E.Loc, NumShards)].Projection.push_back(E);
+  for (uint64_t M = Mask; M; M &= M - 1) {
+    AttemptShard &A = Worker.Attempt[std::countr_zero(M)];
+    A.Log = std::make_shared<const TxLog>(A.Projection);
+  }
+}
+
+void ShardedRuntime::lockShards(uint64_t Mask, ShardState **Cur,
+                                uint64_t StallMicros) const {
+  for (uint64_t M = Mask; M; M &= M - 1) {
+    const auto S = static_cast<uint32_t>(std::countr_zero(M));
+    Shards[S].CommitMutex.lock();
+    Cur[S] = Shards[S].Published.load(std::memory_order_relaxed);
+    // Torn-commit probe (fault injection): stall between successive
+    // shard-lock acquisitions — the window in which a broken two-phase
+    // protocol would let readers observe a partial publication. The
+    // torn-commit test drives concurrent readers through exactly this
+    // gap.
+    if (StallMicros && (M & (M - 1)))
+      backoff(StallMicros);
+  }
+}
+
+void ShardedRuntime::unlockShards(uint64_t Mask) const {
+  for (uint64_t M = Mask; M;) {
+    const auto S = static_cast<uint32_t>(63 - std::countl_zero(M));
+    Shards[S].CommitMutex.unlock();
+    M &= ~(uint64_t{1} << S);
+  }
+}
+
+void ShardedRuntime::publish(uint32_t S, ShardState *Cur, Snapshot State,
+                             WorkerSlot *Committer, uint64_t CommitTime,
+                             TxLogRef Log) {
+  Shard &Sh = Shards[S];
+  ShardState *Next = allocState(Sh);
+  Next->State = std::move(State);
+  Next->Newer = nullptr;
+  if (Committer) {
+    Next->Version = Cur->Version + 1;
+    Sh.History->append(Next->Version, std::move(Log));
+    Next->GlobalTime = CommitTime;
+    Next->HistoryTail = Sh.History->tail();
+  } else {
+    Next->Version = Cur->Version;
+    Next->GlobalTime = Cur->GlobalTime;
+    Next->HistoryTail = Cur->HistoryTail;
+  }
+  Cur->Newer = Next;
+  Sh.Published.store(Next, std::memory_order_seq_cst);
+  // A committer drops its own hazard before recycling, so its entry
+  // state is recycled now, while its view still references the slice:
+  // the slice is then freed by releaseAttempt, after the turn handoff,
+  // not by the next committer under its lock.
+  if (Committer)
+    Committer->Hazards[S].store(nullptr, std::memory_order_seq_cst);
+  recycleShardStates(S, Next);
+}
+
+uint64_t ShardedRuntime::commitShards(uint64_t Mask, ShardState *const *Cur,
+                                      WorkerSlot &Worker) {
+  const uint64_t CommitTime = Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
+  for (uint64_t M = Mask; M; M &= M - 1) {
+    const auto S = static_cast<uint32_t>(std::countr_zero(M));
+    AttemptShard &A = Worker.Attempt[S];
+    publish(S, Cur[S], std::move(A.Replayed), &Worker, CommitTime,
+            std::move(A.Log));
+  }
+  return CommitTime;
+}
+
+void ShardedRuntime::finishCommit(const AttemptEnd &End, uint64_t Acquired,
+                                  WorkerSlot &Worker, bool Sampled,
+                                  double SpanTs, double LatencyTs) {
+  obs::Observer *const O = obs::janusObs(Config.Obs);
+  if (End.Mask & (End.Mask - 1))
+    ++Stats.CrossShardCommits;
+  Worker.CommitLog.emplace_back(End.Clock, End.Tid);
+  if (O && !ShardCommitCounters.empty())
+    for (uint64_t M = End.Mask; M; M &= M - 1)
+      ++*ShardCommitCounters[std::countr_zero(M)];
+  if (Sampled) {
+    const double EndTs = O->nowUs();
+    const double Dur = EndTs - SpanTs;
+    if (End.Mode != CommitMode::Speculative)
+      O->span(End.Lane, "serial", End.Tid, End.Attempt, SpanTs, Dur, "clock",
+              static_cast<double>(End.Clock),
+              End.Mode == CommitMode::Placeholder ? "placeholder"
+                                                  : "fallback");
+    else if (End.Mask)
+      O->span(End.Lane, "commit", End.Tid, End.Attempt, SpanTs, Dur, "shards",
+              static_cast<double>(std::popcount(End.Mask)));
+    else
+      O->span(End.Lane, "commit", End.Tid, End.Attempt, SpanTs, Dur, "clock",
+              static_cast<double>(End.Clock));
+    O->commitLatency().record(EndTs - LatencyTs);
+  }
+  Life->report(End, Worker.Events, [O] { return O->nowUs(); });
+  // Hand the turn off before freeing the attempt's private copies: in
+  // ordered mode the successor waits on exactly this call.
+  notifySuccessor(End.Clock);
+  releaseAttempt(Worker, Acquired);
 }
 
 void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
@@ -272,18 +351,18 @@ void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
     return;
   // Task Tid's turn comes when the global Clock reaches OrderBase + Tid
   // (every preceding task committed exactly one tick — speculative,
-  // serial, empty or placeholder alike). Register under OrderMutex so
-  // the handoff cannot race the committer that bumps the Clock to
-  // Target: it bumps the Clock first, then takes OrderMutex to look us
-  // up.
+  // serial, empty or placeholder alike). Post the awaited turn under
+  // OrderMutex so the handoff cannot race the committer that bumps the
+  // Clock to Target: it bumps the Clock first, then takes OrderMutex to
+  // look for us.
   uint64_t Target = OrderBase.load(std::memory_order_acquire) + Tid;
   std::unique_lock<std::mutex> Guard(OrderMutex);
   if (Clock.load(std::memory_order_acquire) < Target) {
-    OrderWaiters[Target] = &Worker.TurnCv;
+    Worker.AwaitedTurn = Target;
     Worker.TurnCv.wait(Guard, [this, Target]() {
       return Clock.load(std::memory_order_acquire) >= Target;
     });
-    OrderWaiters.erase(Target);
+    Worker.AwaitedTurn = 0;
   }
 }
 
@@ -292,12 +371,14 @@ void ShardedRuntime::notifySuccessor(uint64_t CommitTime) {
     return;
   // Hand the turn to the one transaction this commit made eligible (its
   // Target equals CommitTime): a commit wakes one thread, not every
-  // waiter. An absent entry means the successor has not reached its
+  // waiter. No slot awaiting it means the successor has not reached its
   // wait yet; it will see the Clock on its own.
   std::lock_guard<std::mutex> Guard(OrderMutex);
-  auto It = OrderWaiters.find(CommitTime);
-  if (It != OrderWaiters.end())
-    It->second->notify_one();
+  for (WorkerSlot &W : Workers)
+    if (W.AwaitedTurn == CommitTime) {
+      W.TurnCv.notify_one();
+      return;
+    }
 }
 
 ShardedRuntime::ShardState *ShardedRuntime::allocState(Shard &Sh) {
@@ -309,11 +390,8 @@ ShardedRuntime::ShardState *ShardedRuntime::allocState(Shard &Sh) {
   return new ShardState();
 }
 
-void ShardedRuntime::recycleShardStates(uint32_t S) {
+void ShardedRuntime::recycleShardStates(uint32_t S, ShardState *Cur) {
   Shard &Sh = Shards[S];
-  // JANUS_LINT_ALLOW(snapshot-hazard-scope): every caller holds
-  // Sh.CommitMutex, which guards this shard's free path.
-  ShardState *Cur = Sh.Published.load(std::memory_order_relaxed);
   // Recycle the unreferenced chain prefix. The walk stops at the first
   // hazarded state, so a hazard keeps its state *and every newer one*
   // allocated — an attempt's validation rounds read newer states under
@@ -347,7 +425,6 @@ void ShardedRuntime::recycleShardStates(uint32_t S) {
   if (Config.ReclaimLogs)
     Sh.History->reclaimUpTo(Sh.Oldest->Version);
 }
-
 
 Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
                               uint32_t Attempt, unsigned Lane,
@@ -407,48 +484,20 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
     const double CommitTs = Sampled ? O->nowUs() : 0.0;
     End.Clock = Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
     ++Stats.EmptyCommits;
-    Worker.CommitLog.emplace_back(End.Clock, Tid);
-    if (Sampled) {
-      double EndTs = O->nowUs();
-      O->span(Lane, "commit", Tid, Attempt, CommitTs, EndTs - CommitTs,
-              "clock", static_cast<double>(End.Clock));
-      O->commitLatency().record(EndTs - AttemptTs);
-    }
-    Life->report(End, Worker.Events, Now);
-    notifySuccessor(End.Clock);
+    finishCommit(End, Mask, Worker, Sampled, CommitTs, AttemptTs);
     return Abort::None;
   }
 
-  const bool Single = (Mask & (Mask - 1)) == 0;
-  // Touched shards in ascending index order — the global lock order
-  // for the two-phase acquire.
-  std::array<uint32_t, MaxShards> Touched;
-  uint32_t NumTouched = 0;
-  for (uint64_t M = Mask; M;) {
-    Touched[NumTouched++] = static_cast<uint32_t>(std::countr_zero(M));
-    M &= M - 1;
-  }
-  if (!Single) {
-    // Project the log once per attempt: each shard's history (and its
-    // detection window for other transactions) carries exactly that
-    // shard's operations, in the transaction's program order.
-    for (const LogEntry &E : *Log)
-      Worker.Attempt[shardIndexOf(E.Loc, NumShards)].Projection.push_back(E);
-    for (uint32_t I = 0; I != NumTouched; ++I) {
-      AttemptShard &A = Worker.Attempt[Touched[I]];
-      A.ProjRef = std::make_shared<const TxLog>(A.Projection);
-    }
-  }
-
+  // Once per attempt: each shard's history (and its detection window
+  // for other transactions) carries exactly that shard's operations.
+  projectLog(Log, Mask, Worker);
   while (true) {
     // DETECTCONFLICTS per touched shard, each against its own entry
     // snapshot and its own incremental window — sound because
     // detection decomposes per location (§5.3) and a location's
     // committed ops live exactly in its shard's history.
-    bool Conflict = false;
-    uint32_t ConflictShard = 0;
-    for (uint32_t I = 0; I != NumTouched && !Conflict; ++I) {
-      const uint32_t S = Touched[I];
+    for (uint64_t M = Mask; M; M &= M - 1) {
+      const auto S = static_cast<uint32_t>(std::countr_zero(M));
       AttemptShard &A = Worker.Attempt[S];
       // Refresh the shard's published state. The hazard acquireShard
       // published stays on the entry state for the whole attempt, and
@@ -465,9 +514,8 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
       const double DetectTs = Sampled ? O->nowUs() : 0.0;
       A.Window->collectUpTo(NowVer, A.OpsC);
       ++Stats.ConflictChecks;
-      const TxLog &Mine = Single ? *Log : A.Projection;
       const bool C =
-          Detector.detectConflicts(Worker.Views[S].Entry, Mine, A.OpsC, Reg);
+          Detector.detectConflicts(Worker.Views[S].Entry, *A.Log, A.OpsC, Reg);
       A.Detected = NowVer;
       if (Sampled) {
         double Dur = O->nowUs() - DetectTs;
@@ -475,14 +523,10 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
         O->span(Lane, "detect", Tid, Attempt, DetectTs, Dur, "window",
                 static_cast<double>(A.OpsC.size()));
       }
-      if (C) {
-        Conflict = true;
-        ConflictShard = S;
-      }
-    }
-    if (Conflict) {
+      if (!C)
+        continue;
       if (O && !ShardAbortCounters.empty())
-        ++*ShardAbortCounters[ConflictShard];
+        ++*ShardAbortCounters[S];
       // Detect-end clock: the conflicting commit's global stamp is at
       // most the clock read here (it published before detection saw
       // it), so replay's window (begin, detect-end] covers it.
@@ -498,8 +542,8 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
     // already *is* entry-plus-log — an O(1) reuse that keeps the
     // single-shard fast path free of a second replay walk.
     const double ReplayTs = Sampled ? O->nowUs() : 0.0;
-    for (uint32_t I = 0; I != NumTouched; ++I) {
-      const uint32_t S = Touched[I];
+    for (uint64_t M = Mask; M; M &= M - 1) {
+      const auto S = static_cast<uint32_t>(std::countr_zero(M));
       AttemptShard &A = Worker.Attempt[S];
       const uint64_t NowVer = A.Now->Version;
       if (A.ReplayedVersion == NowVer && NowVer != 0)
@@ -508,8 +552,7 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
         A.Replayed = Worker.Views[S].Private;
       } else {
         A.Replayed = A.Now->State;
-        const TxLog &Mine = Single ? *Log : A.Projection;
-        for (const LogEntry &E : Mine)
+        for (const LogEntry &E : *A.Log)
           A.Replayed = applyToSnapshot(A.Replayed, E.Loc, E.Op);
       }
       A.ReplayedVersion = NowVer;
@@ -518,88 +561,32 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
       O->span(Lane, "replay", Tid, Attempt, ReplayTs, O->nowUs() - ReplayTs,
               "ops", static_cast<double>(Log->size()));
 
-    // COMMIT: two-phase acquire over exactly the touched shards, in
-    // ascending shard order (a global order shared with the serial
-    // fallback, so the multi-lock cannot deadlock). Validate all,
-    // stamp one global clock tick, publish all, unlock in reverse.
+    // COMMIT: two-phase acquire over exactly the touched shards, in the
+    // global lock order the serial fallback shares. Validate all by
+    // pointer identity — exact here: A.Now is the hazarded entry state
+    // or newer, so it cannot have been recycled and re-published — then
+    // stamp one global clock tick, publish all, unlock.
     const double CommitTs = Sampled ? O->nowUs() : 0.0;
-    for (uint32_t I = 0; I != NumTouched; ++I) {
-      Shards[Touched[I]].CommitMutex.lock();
-      // Torn-commit probe (fault injection): stall between successive
-      // shard-lock acquisitions — the window in which a broken
-      // two-phase protocol would let readers observe a partial
-      // publication. The torn-commit test drives concurrent readers
-      // through exactly this gap.
-      if (I + 1 != NumTouched) {
-        if (uint64_t D = Config.Faults.acquireDelay(Tid, Attempt)) {
-          ++Stats.FaultsInjected;
-          backoff(D);
-        }
-      }
-    }
+    const uint64_t Stall = Config.Faults.acquireDelay(Tid, Attempt);
+    if (Stall)
+      Stats.FaultsInjected += std::popcount(Mask) - 1;
+    ShardState *Cur[MaxShards] = {};
+    lockShards(Mask, Cur, Stall);
     bool Valid = true;
-    for (uint32_t I = 0; I != NumTouched; ++I) {
-      const uint32_t S = Touched[I];
-      // Pointer identity is exact here: A.Now is the hazarded entry
-      // state or newer, so it cannot have been recycled and
-      // re-published.
-      if (Shards[S].Published.load(std::memory_order_relaxed) !=
-          Worker.Attempt[S].Now) {
-        Valid = false;
-        break;
-      }
+    for (uint64_t M = Mask; M && Valid; M &= M - 1) {
+      const auto S = static_cast<uint32_t>(std::countr_zero(M));
+      Valid = Cur[S] == Worker.Attempt[S].Now;
     }
     if (!Valid) {
-      for (uint32_t I = NumTouched; I--;)
-        Shards[Touched[I]].CommitMutex.unlock();
+      unlockShards(Mask);
       ++Stats.ValidationFailures;
       if (Sampled)
         O->instant(Lane, "validate-fail", Tid, Attempt, CommitTs);
       continue;
     }
-    const uint64_t CommitTime =
-        Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
-    for (uint32_t I = 0; I != NumTouched; ++I) {
-      const uint32_t S = Touched[I];
-      Shard &Sh = Shards[S];
-      AttemptShard &A = Worker.Attempt[S];
-      const uint64_t Ver = A.Now->Version + 1;
-      Sh.History->append(Ver, Single ? Log : A.ProjRef);
-      ShardState *Next = allocState(Sh);
-      Next->GlobalTime = CommitTime;
-      Next->Version = Ver;
-      Next->State = std::move(A.Replayed);
-      Next->HistoryTail = Sh.History->tail();
-      Next->Newer = nullptr;
-      A.Now->Newer = Next;
-      Sh.Published.store(Next, std::memory_order_seq_cst);
-      // Drop our own hazard before recycling, so our entry state is
-      // recycled now, while our view still references its slice: the
-      // slice is then freed by releaseAttempt, after the turn handoff,
-      // not by the next committer under its lock.
-      Worker.Hazards[S].store(nullptr, std::memory_order_seq_cst);
-      recycleShardStates(S);
-    }
-    for (uint32_t I = NumTouched; I--;)
-      Shards[Touched[I]].CommitMutex.unlock();
-    if (!Single)
-      ++Stats.CrossShardCommits;
-    Worker.CommitLog.emplace_back(CommitTime, Tid);
-    if (O && !ShardCommitCounters.empty())
-      for (uint32_t I = 0; I != NumTouched; ++I)
-        ++*ShardCommitCounters[Touched[I]];
-    if (Sampled) {
-      double EndTs = O->nowUs();
-      O->span(Lane, "commit", Tid, Attempt, CommitTs, EndTs - CommitTs,
-              "shards", static_cast<double>(NumTouched));
-      O->commitLatency().record(EndTs - AttemptTs);
-    }
-    End.Clock = CommitTime;
-    Life->report(End, Worker.Events, Now);
-    // Hand the turn off before freeing the attempt's private copies:
-    // in ordered mode the successor waits on exactly this call.
-    notifySuccessor(CommitTime);
-    releaseAttempt(Worker, Mask);
+    End.Clock = commitShards(Mask, Cur, Worker);
+    unlockShards(Mask);
+    finishCommit(End, Mask, Worker, Sampled, CommitTs, AttemptTs);
     return Abort::None;
   }
 }
@@ -615,12 +602,12 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
   // predecessor's commit needs its shard mutexes.
   waitForTurn(Tid, Worker);
 
-  // Lock *every* shard in ascending order: a strict superset of any
-  // speculative committer's lock set in the same global order, so no
-  // deadlock — and with all commit points held, execution here is
-  // irrevocable (nothing can invalidate it).
-  for (uint32_t S = 0; S != NumShards; ++S)
-    Shards[S].CommitMutex.lock();
+  // Lock *every* shard: a strict superset of any speculative
+  // committer's lock set, in the same global order, so no deadlock —
+  // and with all commit points held, execution here is irrevocable
+  // (nothing can invalidate it).
+  ShardState *Cur[MaxShards] = {};
+  lockShards(AllShards, Cur);
 
   uint64_t Mask = 0;
   TxLogRef Log = emptyTxLog(); // Placeholder: no effects survive.
@@ -637,54 +624,20 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
     }
     Mask = Tx.accessedShards();
   }
-  const uint64_t CommitTime = Clock.fetch_add(1, std::memory_order_seq_cst) + 1;
-  const uint64_t EffectMask = Mode == CommitMode::Placeholder ? 0 : Mask;
-  if (EffectMask) {
-    const bool Single = (EffectMask & (EffectMask - 1)) == 0;
-    if (!Single)
-      for (const LogEntry &E : *Log)
-        Worker.Attempt[shardIndexOf(E.Loc, NumShards)].Projection.push_back(E);
-    for (uint64_t M = EffectMask; M;) {
-      const uint32_t S = static_cast<uint32_t>(std::countr_zero(M));
-      M &= M - 1;
-      Shard &Sh = Shards[S];
-      AttemptShard &A = Worker.Attempt[S];
-      // Acquired under the full lock set, so A.Now is current and the
-      // privatized view is entry-plus-log of the live state.
-      const uint64_t Ver = A.Now->Version + 1;
-      TxLogRef ShardLog =
-          Single ? Log : std::make_shared<const TxLog>(A.Projection);
-      Sh.History->append(Ver, std::move(ShardLog));
-      ShardState *Next = allocState(Sh);
-      Next->GlobalTime = CommitTime;
-      Next->Version = Ver;
-      Next->State = Worker.Views[S].Private;
-      Next->HistoryTail = Sh.History->tail();
-      Next->Newer = nullptr;
-      A.Now->Newer = Next;
-      Sh.Published.store(Next, std::memory_order_seq_cst);
-      Worker.Hazards[S].store(nullptr, std::memory_order_seq_cst);
-      recycleShardStates(S);
-    }
-    if (!Single)
-      ++Stats.CrossShardCommits;
+  // Acquired under the full lock set, each privatized view is
+  // entry-plus-log of its shard's live state: it is what commits.
+  const uint64_t Effects = Mode == CommitMode::Placeholder ? 0 : Mask;
+  projectLog(Log, Effects, Worker);
+  for (uint64_t M = Effects; M; M &= M - 1) {
+    const auto S = static_cast<uint32_t>(std::countr_zero(M));
+    Worker.Attempt[S].Replayed = Worker.Views[S].Private;
   }
-  for (uint32_t S = NumShards; S--;)
-    Shards[S].CommitMutex.unlock();
-  Worker.CommitLog.emplace_back(CommitTime, Tid);
-  if (Sampled) {
-    double End = O->nowUs();
-    O->span(Lane, "serial", Tid, Attempt, SerialTs, End - SerialTs, "clock",
-            static_cast<double>(CommitTime),
-            Mode == CommitMode::Placeholder ? "placeholder" : "fallback");
-    O->commitLatency().record(End - SerialTs);
-  }
-  Life->report(AttemptEnd{Tid, Attempt, Lane, Abort::None, Mode,
+  const uint64_t CommitTime = commitShards(Effects, Cur, Worker);
+  unlockShards(AllShards);
+  finishCommit(AttemptEnd{Tid, Attempt, Lane, Abort::None, Mode,
                           CommitTime - 1, CommitTime, &Log, nullptr,
-                          Worker.Views.data(), EffectMask},
-               Worker.Events, [O] { return O->nowUs(); });
-  notifySuccessor(CommitTime);
-  releaseAttempt(Worker, Mask);
+                          Worker.Views.data(), Effects},
+               Mask, Worker, Sampled, SerialTs, SerialTs);
 }
 
 void ShardedRuntime::drain(unsigned Slot) noexcept {

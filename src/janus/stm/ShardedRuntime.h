@@ -111,7 +111,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -269,8 +268,8 @@ private:
 
   /// Per-(worker, shard) scratch carried across the validation rounds
   /// of one attempt: the acquired entry state, the latest validated
-  /// state, the incremental history window, and the shard projection
-  /// of the transaction's log.
+  /// state, the incremental history window, and the shard's share of
+  /// the transaction's log.
   struct AttemptShard {
     /// Latest state this round runs against; the entry state's hazard
     /// keeps it allocated, so pointer identity against Published is
@@ -281,16 +280,31 @@ private:
     /// an address, but a shard's versions are never reused.
     uint64_t EntryVersion = 0;
     std::optional<HistoryLog::Reader> Window;
-    std::vector<TxLogRef> OpsC;  ///< Collected shard window.
-    /// Shard projection of the attempt's log (only for cross-shard
-    /// attempts; single-shard attempts use the full log).
-    TxLog Projection;
-    TxLogRef ProjRef; ///< Shared form of Projection, for the history.
+    std::vector<TxLogRef> OpsC; ///< Collected shard window.
+    /// The log as this shard detects, replays and records it: the whole
+    /// log of a single-shard attempt, else its projection (projectLog).
+    TxLogRef Log;
+    TxLog Projection; ///< Builds Log; kept for its capacity.
     /// Version up to which detection already ran (skip re-detection
     /// when a validation round saw no new commits in this shard).
     uint64_t Detected = 0;
     Snapshot Replayed;        ///< Log applied onto version ReplayedVersion.
     uint64_t ReplayedVersion = 0; ///< 0 = Replayed not yet valid.
+
+    /// Back to "not acquired", keeping the vectors' capacity. The one
+    /// reset: releaseAttempt runs it at the end of every attempt, so
+    /// acquireShard finds the scratch clean.
+    void reset() {
+      Now = nullptr;
+      EntryVersion = 0;
+      Window.reset();
+      OpsC.clear();
+      Log.reset();
+      Projection.clear();
+      Detected = 0;
+      Replayed = Snapshot{};
+      ReplayedVersion = 0;
+    }
   };
 
   /// Per-worker runtime state, cache-line padded.
@@ -304,8 +318,11 @@ private:
     /// storage); reset between attempts so attempts allocate nothing.
     std::vector<ShardBackend::View> Views;
     std::vector<AttemptShard> Attempt; ///< Parallel to Views.
-    /// Signalled (at most once per turn) when this worker's ordered
-    /// turn arrives; see OrderWaiters.
+    /// Ordered mode: the turn (the Clock value that makes this worker's
+    /// transaction eligible) it is blocked on, 0 when none; its
+    /// predecessor's committer finds it here and signals TurnCv, so a
+    /// commit wakes one thread, not every waiter. Guarded by OrderMutex.
+    uint64_t AwaitedTurn = 0;
     std::condition_variable TurnCv;
     std::vector<TraceEvent> Events;
     std::vector<resilience::TaskFailure> Failures;
@@ -337,8 +354,8 @@ private:
                 unsigned Lane, WorkerSlot &Worker, std::string &ThrowMsg);
 
   /// Irrevocable serial fallback (\p Task set) or placeholder commit,
-  /// numbered \p Attempt: locks *every* shard mutex (ascending), so it
-  /// is a superset of any speculative committer's lock set and cannot
+  /// numbered \p Attempt: locks *every* shard mutex, so it is a
+  /// superset of any speculative committer's lock set and cannot
   /// deadlock against one.
   void commitSerial(const TaskFn *Task, uint32_t Tid, uint32_t Attempt,
                     unsigned Lane, WorkerSlot &Worker);
@@ -352,6 +369,47 @@ private:
   /// in \p Mask (end of attempt, any outcome).
   void releaseAttempt(WorkerSlot &Worker, uint64_t Mask);
 
+  /// Gives every shard in \p Mask its share of \p Log (AttemptShard::
+  /// Log): all of it when it is the only shard, else its projection —
+  /// exactly that shard's operations, in program order, which is what
+  /// its history and other transactions' detection windows carry.
+  void projectLog(const TxLogRef &Log, uint64_t Mask, WorkerSlot &Worker);
+
+  /// The lock set: takes the commit mutexes of the shards in \p Mask in
+  /// ascending index order — the one global lock order, so no two lock
+  /// sets deadlock — and reads each one's published state into
+  /// \p Cur[S]. \p StallMicros stalls between successive locks (the
+  /// torn-commit probe).
+  void lockShards(uint64_t Mask, ShardState **Cur,
+                  uint64_t StallMicros = 0) const;
+  /// Releases lockShards(\p Mask)'s mutexes, in reverse order.
+  void unlockShards(uint64_t Mask) const;
+
+  /// Publishes \p State as shard \p S's next state after \p Cur, its
+  /// published state; the caller holds the shard's mutex. A commit
+  /// passes its \p Committer, stamp and log: the log is appended at the
+  /// next shard version, and the committer's own hazard is dropped
+  /// before recycling. setInitialState passes none and keeps \p Cur's
+  /// version, stamp and history tail.
+  void publish(uint32_t S, ShardState *Cur, Snapshot State,
+               WorkerSlot *Committer = nullptr, uint64_t CommitTime = 0,
+               TxLogRef Log = nullptr);
+
+  /// COMMIT under the held lock set (\p Cur from lockShards): one tick
+  /// of the global clock, then every shard in \p Mask publishes its
+  /// Replayed state and records its Log. \returns the commit time.
+  uint64_t commitShards(uint64_t Mask, ShardState *const *Cur,
+                        WorkerSlot &Worker);
+
+  /// Every commit's tail, after its locks are released: the commit
+  /// stamp, the counters, the commit (or serial) span and commit
+  /// latency when \p Sampled, the end record, the ordered-turn handoff,
+  /// and the release of the shards in \p Acquired. The span starts at
+  /// \p SpanTs and the latency at \p LatencyTs.
+  void finishCommit(const AttemptEnd &End, uint64_t Acquired,
+                    WorkerSlot &Worker, bool Sampled, double SpanTs,
+                    double LatencyTs);
+
   /// Blocks the calling worker while it waits for its ordered-mode
   /// commit turn (Clock >= OrderBase + Tid). No-op when unordered.
   void waitForTurn(uint32_t Tid, WorkerSlot &Worker);
@@ -359,11 +417,12 @@ private:
   /// \p CommitTime made eligible. No-op when unordered.
   void notifySuccessor(uint64_t CommitTime);
 
-  /// Recycles the prefix of shard \p S's state chain that no worker
-  /// hazard references, then (if configured) reclaims history records
-  /// below the oldest surviving state's version. Caller holds the
-  /// shard's CommitMutex, *after* publishing the successor state.
-  void recycleShardStates(uint32_t S);
+  /// Recycles the prefix of shard \p S's state chain, up to its
+  /// published state \p Cur, that no worker hazard references, then (if
+  /// configured) reclaims history records below the oldest surviving
+  /// state's version. Caller holds the shard's CommitMutex, *after*
+  /// publishing \p Cur.
+  void recycleShardStates(uint32_t S, ShardState *Cur);
 
   /// Pops a pooled ShardState (or allocates). Caller holds the
   /// shard's CommitMutex.
@@ -384,6 +443,7 @@ private:
   ConflictDetector &Detector;
   ShardedConfig Config;
   uint32_t NumShards;
+  uint64_t AllShards; ///< The mask of every shard.
 
   /// The dense global commit clock: every commit (empty, single- or
   /// cross-shard, serial, placeholder) is exactly one fetch_add. Also
@@ -393,13 +453,7 @@ private:
   std::vector<Shard> Shards;
   std::vector<WorkerSlot> Workers;
 
-  std::mutex OrderMutex; ///< Ordered-mode turn registry.
-  /// Ordered-mode handoff: maps a turn (the Clock value that makes a
-  /// waiting transaction eligible) to the waiter's TurnCv, so a
-  /// committer wakes exactly its successor instead of broadcasting to
-  /// every waiting worker. Guarded by OrderMutex; waiters erase their
-  /// own entry once their turn comes.
-  std::unordered_map<uint64_t, std::condition_variable *> OrderWaiters;
+  std::mutex OrderMutex; ///< Guards every slot's AwaitedTurn.
   std::atomic<uint64_t> OrderBase{0}; ///< Clock at the start of run().
 
   std::optional<Lifecycle> Life; ///< The run() in progress.

@@ -1,5 +1,6 @@
 #include "janus/training/Trainer.h"
 
+#include "janus/stm/Attempt.h"
 #include "janus/verify/RelationalCheck.h"
 #include "janus/verify/Verify.h"
 
@@ -32,9 +33,7 @@ void Trainer::trainOn(stm::Snapshot &State,
   Logs.reserve(Tasks.size());
   for (size_t I = 0, E = Tasks.size(); I != E; ++I) {
     stm::TxContext Tx(State, static_cast<uint32_t>(I + 1), Reg);
-    try {
-      Tasks[I](Tx);
-    } catch (...) {
+    if (!stm::runBody(Tasks[I], Tx)) {
       // A throwing training payload contributes nothing: its partial
       // log is neither applied nor mined (the runtimes discard such
       // attempts too), and the remaining payloads still train.

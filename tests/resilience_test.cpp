@@ -19,8 +19,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
+#include <map>
+#include <numeric>
+#include <set>
 #include <stdexcept>
 
 using namespace janus;
@@ -445,27 +450,115 @@ TEST(DetectorDegradationTest, UnlimitedBudgetNeverDegrades) {
 // Degraded runs still audit clean.
 // ---------------------------------------------------------------------------
 
-TEST(AuditResilienceTest, SerialFallbackRunAuditsClean) {
-  // Every task is forced through two aborts and (budget 2) escalates to
-  // the serial rung; the recorded trace must still replay serializably.
+namespace {
+
+constexpr int SerialTasks = 20;
+
+/// The slots task \p I increments: three of six, so neighbouring tasks
+/// conflict, spread over several shards at eight.
+std::array<int, 3> spreadSlots(int I) {
+  return {I % 6, (I + 1) % 6, (I + 3) % 6};
+}
+
+/// Runs SerialTasks read-modify-write increments of spreadSlots on four
+/// workers at \p Shards shards under \p Plan, with a speculative retry
+/// budget of \p Budget and no backoff. Checks the serial-fallback count,
+/// the exact final state, a dense and complete commit order, and a
+/// clean audit.
+void checkSerialRun(unsigned Shards, const std::string &Plan,
+                    uint32_t Budget, uint64_t WantSerial) {
   World W;
+  ObjectId Slots = W.Reg.registerObject("slots", "slots.elem");
   WriteSetDetector D;
   ShardedConfig C;
-  C.NumShards = 1;
+  C.NumShards = Shards;
   C.NumThreads = 4;
   C.RecordTrace = true;
-  C.Resilience.SpeculativeRetryBudget = 2;
-  C.Faults = mustParse("abort@*.*");
+  C.Resilience.SpeculativeRetryBudget = Budget;
+  C.Resilience.BackoffBaseMicros = 0;
+  C.Faults = mustParse(Plan);
   ShardedRuntime R(W.Reg, D, C);
-  const int N = 20;
-  std::vector<TaskFn> Tasks = incrementTasks(Location(W.Work), N);
+  std::vector<TaskFn> Tasks;
+  for (int I = 0; I != SerialTasks; ++I)
+    Tasks.push_back([Slots, I](TxContext &Tx) {
+      for (int S : spreadSlots(I)) {
+        Value V = Tx.read(Location(Slots, S));
+        Tx.write(Location(Slots, S),
+                 Value::of((V.isAbsent() ? 0 : V.asInt()) + 1));
+      }
+    });
   R.run(Tasks);
-  EXPECT_EQ(R.stats().SerialFallbacks.load(), static_cast<uint64_t>(N));
-  EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(N));
+  EXPECT_EQ(R.stats().SerialFallbacks.load(), WantSerial);
+
+  // Exact final state: each slot counts the tasks that increment it.
+  // Every task commits once, so the cross-shard commits are the tasks
+  // whose footprint spans shards.
+  std::map<int, int64_t> Want;
+  uint64_t WantCross = 0;
+  for (int I = 0; I != SerialTasks; ++I) {
+    std::set<uint32_t> Touched;
+    for (int S : spreadSlots(I)) {
+      ++Want[S];
+      Touched.insert(shardIndexOf(Location(Slots, S), R.numShards()));
+    }
+    WantCross += Touched.size() > 1;
+  }
+  if (R.numShards() > 1) {
+    EXPECT_GE(WantCross, static_cast<uint64_t>(SerialTasks / 2));
+  }
+  EXPECT_EQ(R.stats().CrossShardCommits.load(), WantCross);
+  Snapshot Final = R.sharedState();
+  for (const auto &[S, N] : Want)
+    EXPECT_EQ(snapshotValue(Final, Location(Slots, S)), Value::of(N))
+        << "slot " << S;
+
+  // Dense, complete commit order: every task once, one tick each.
+  std::vector<uint32_t> Order = R.commitOrder();
+  std::sort(Order.begin(), Order.end());
+  std::vector<uint32_t> AllTasks(SerialTasks);
+  std::iota(AllTasks.begin(), AllTasks.end(), 1u);
+  EXPECT_EQ(Order, AllTasks);
+  std::vector<uint64_t> Stamps;
+  for (const TraceEvent &E : R.trace().Events)
+    if (E.Committed)
+      Stamps.push_back(E.CommitTime);
+  std::sort(Stamps.begin(), Stamps.end());
+  ASSERT_EQ(Stamps.size(), static_cast<size_t>(SerialTasks));
+  for (size_t I = 1; I != Stamps.size(); ++I)
+    EXPECT_EQ(Stamps[I], Stamps[I - 1] + 1);
+
   analysis::AuditReport Report = analysis::audit(R.trace(), Tasks, W.Reg);
   EXPECT_TRUE(Report.clean()) << Report.summary();
-  EXPECT_EQ(Report.Serializability.TxReplayed, static_cast<uint64_t>(N));
+  EXPECT_EQ(Report.Serializability.TxReplayed,
+            static_cast<uint64_t>(SerialTasks));
 }
+
+} // namespace
+
+/// Serial commits at one shard and at eight, where each one publishes
+/// its log's projection into every shard its footprint spans.
+class SerialFallbackAuditTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SerialFallbackAuditTest, EveryTaskSerialAuditsClean) {
+  // Every task is forced through two aborts and (budget 2) escalates to
+  // the serial rung; the recorded trace must still replay serializably.
+  checkSerialRun(GetParam(), "abort@*.*", /*Budget=*/2, SerialTasks);
+}
+
+TEST_P(SerialFallbackAuditTest, EveryOtherTaskSerialAuditsClean) {
+  // Only even tasks are forced serial, so odd tasks commit speculatively
+  // and detect against the serial commits' records. Each conflict abort
+  // of an odd task needs a distinct commit inside its window, so with a
+  // budget of SerialTasks no odd task can escalate: exactly the even
+  // tasks run serially.
+  std::string Plan;
+  for (int T = 2; T <= SerialTasks; T += 2)
+    Plan += (Plan.empty() ? "abort@" : ";abort@") + std::to_string(T) + ".*";
+  checkSerialRun(GetParam(), Plan, /*Budget=*/SerialTasks, SerialTasks / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, SerialFallbackAuditTest,
+                         ::testing::Values(1u, 8u));
 
 TEST(AuditResilienceTest, PlaceholderCommitAuditsClean) {
   // A permanently failing task leaves an empty placeholder commit; the

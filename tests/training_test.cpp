@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace janus;
 using namespace janus::training;
 using namespace janus::verify;
@@ -288,6 +290,44 @@ TEST(TrainerTest, InfersWAWForDefineBeforeUseObjects) {
   EXPECT_TRUE(W.Reg.info(Ctx).Relax.TolerateWAW);
   EXPECT_FALSE(W.Reg.info(W.Work).Relax.TolerateWAW);
   EXPECT_EQ(T.stats().InferredWAWObjects, 1u);
+}
+
+TEST(TrainerTest, ThrowingPayloadTrainsLikeItsAbsence) {
+  // A payload that throws midway adds an empty log and no state change:
+  // the rest of its set trains exactly as the set without it would,
+  // leaving the same state and the same learned cache.
+  auto Train = [](bool WithThrower, Snapshot &S, std::string &Cache) {
+    TrainWorld W;
+    ObjectId Pixel = W.Reg.registerObject("pixel", "pixel.elem");
+    Trainer T(W.Reg, W.Cache);
+    std::vector<TaskFn> Tasks;
+    for (int I = 1; I <= 4; ++I) {
+      if (WithThrower && I == 3)
+        Tasks.push_back([&W, Pixel](TxContext &Tx) {
+          Tx.add(Location(W.Work), 1000);
+          Tx.write(Location(Pixel, 0), Value::of("red"));
+          throw std::runtime_error("training payload failed");
+        });
+      Tasks.push_back([&W, Pixel, I](TxContext &Tx) {
+        Tx.add(Location(W.Work), I);
+        Tx.add(Location(W.Work), -I);
+        Tx.write(Location(Pixel, 0), Value::of("black"));
+        Tx.add(Location(W.Work), 1);
+      });
+    }
+    T.trainOn(S, Tasks);
+    EXPECT_EQ(T.stats().TasksRun, WithThrower ? 5u : 4u);
+    EXPECT_GT(T.stats().CachedEntries, 0u);
+    EXPECT_EQ(stm::snapshotValue(S, Location(W.Work)), Value::of(4));
+    EXPECT_EQ(stm::snapshotValue(S, Location(Pixel, 0)), Value::of("black"));
+    Cache = W.Cache->serialize();
+  };
+  Snapshot With, Without;
+  std::string WithCache, WithoutCache;
+  Train(/*WithThrower=*/true, With, WithCache);
+  Train(/*WithThrower=*/false, Without, WithoutCache);
+  EXPECT_EQ(With, Without);
+  EXPECT_EQ(WithCache, WithoutCache);
 }
 
 // ---------------------------------------------------------------------------

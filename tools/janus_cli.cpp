@@ -764,13 +764,63 @@ void printResilience(const Janus &J, const RunOutcome &O) {
                 F.Attempts, F.Reason.c_str());
 }
 
-int cmdTrain(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
+/// The workload --workload names, or null once the error is printed.
+std::unique_ptr<Workload> findWorkload(const CliOptions &Opts) {
+  std::unique_ptr<Workload> W = workloadByName(Opts.WorkloadName);
+  if (!W)
     std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
                  Opts.WorkloadName.c_str());
-    return 1;
+  return W;
+}
+
+/// Loads the --cache-in training artifact into \p J, or trains \p J on
+/// \p W's --rounds training payloads. \returns false, with the error
+/// printed, when the artifact cannot be loaded.
+bool loadOrTrain(Janus &J, Workload &W, const CliOptions &Opts) {
+  if (Opts.CacheIn.empty()) {
+    for (const PayloadSpec &P : W.trainingPayloads(Opts.Rounds))
+      J.train(W.makeTasks(P));
+    return true;
   }
+  std::ifstream In(Opts.CacheIn);
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  if (In && J.importTrainingArtifact(Buffer.str()))
+    return true;
+  std::fprintf(stderr, "janus: error: cannot load training artifact '%s'\n",
+               Opts.CacheIn.c_str());
+  return false;
+}
+
+/// The set-up run, explain, audit and serve share: finds the workload
+/// into \p W, builds a Janus on \p Cfg and sets it up for \p W, then,
+/// for the sequence detector, loads or trains its cache. \returns null,
+/// with the error printed, when a step fails.
+std::unique_ptr<Janus> setUp(const CliOptions &Opts, const JanusConfig &Cfg,
+                             std::unique_ptr<Workload> &W) {
+  W = findWorkload(Opts);
+  if (!W)
+    return nullptr;
+  auto J = std::make_unique<Janus>(Cfg);
+  W->setup(*J);
+  if (Opts.Detector == DetectorKind::Sequence && !loadOrTrain(*J, *W, Opts))
+    return nullptr;
+  return J;
+}
+
+/// The header line of run's, explain's and audit's text reports.
+void printWorkloadLine(Workload &W, Janus &J, const CliOptions &Opts) {
+  std::printf("workload   : %s (%s, %s engine, %u %s)\n", W.name().c_str(),
+              J.detector().name().c_str(),
+              Opts.Engine == EngineKind::Simulated ? "simulated" : "threaded",
+              Opts.Threads,
+              Opts.Engine == EngineKind::Simulated ? "cores" : "threads");
+}
+
+int cmdTrain(const CliOptions &Opts) {
+  auto W = findWorkload(Opts);
+  if (!W)
+    return 1;
   Janus J(configFor(Opts));
   W->setup(J);
   for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
@@ -812,29 +862,13 @@ int cmdTrain(const CliOptions &Opts) {
 /// every cached commutativity condition — the soundness/precision pass
 /// of DESIGN.md §10. Exit 4 on any unsound entry so CI can gate on it.
 int cmdVerify(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
+  auto W = findWorkload(Opts);
+  if (!W)
     return 1;
-  }
   Janus J(configFor(Opts));
   W->setup(J);
-
-  if (!Opts.CacheIn.empty()) {
-    std::ifstream In(Opts.CacheIn);
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    if (!In || !J.importTrainingArtifact(Buffer.str())) {
-      std::fprintf(stderr,
-                   "janus: error: cannot load training artifact '%s'\n",
-                   Opts.CacheIn.c_str());
-      return 1;
-    }
-  } else {
-    for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-      J.train(W->makeTasks(P));
-  }
+  if (!loadOrTrain(J, *W, Opts))
+    return 1;
 
   if (Opts.SeedUnsound) {
     // A write of one fresh parameter against a write of another never
@@ -889,36 +923,16 @@ int cmdVerify(const CliOptions &Opts) {
 }
 
 int cmdRun(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
+  const JanusConfig Cfg = configFor(Opts);
+  std::unique_ptr<Workload> W;
+  std::unique_ptr<Janus> Owned = setUp(Opts, Cfg, W);
+  if (!Owned)
     return 1;
-  }
-  Janus J(configFor(Opts));
-  W->setup(J);
-
-  if (Opts.Detector == DetectorKind::Sequence) {
-    if (!Opts.CacheIn.empty()) {
-      std::ifstream In(Opts.CacheIn);
-      std::ostringstream Buffer;
-      Buffer << In.rdbuf();
-      if (!In || !J.importTrainingArtifact(Buffer.str())) {
-        std::fprintf(stderr,
-                     "janus: error: cannot load training artifact '%s'\n",
-                     Opts.CacheIn.c_str());
-        return 1;
-      }
-      if (!Opts.Json)
-        std::printf("loaded training artifact: %zu cache entries\n",
-                    J.cache()->size());
-    } else {
-      for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-        J.train(W->makeTasks(P));
-      if (!Opts.Json)
-        std::printf("trained: %zu cache entries\n", J.cache()->size());
-    }
-  }
+  Janus &J = *Owned;
+  if (Opts.Detector == DetectorKind::Sequence && !Opts.Json)
+    std::printf("%s: %zu cache entries\n",
+                Opts.CacheIn.empty() ? "trained" : "loaded training artifact",
+                J.cache()->size());
 
   // SIGINT/SIGTERM cancels the in-flight run cooperatively (global
   // shutdown token checked at attempt boundaries and inside backoff
@@ -939,12 +953,7 @@ int cmdRun(const CliOptions &Opts) {
                 O.Failures.size());
 
   if (!Opts.Json) {
-    std::printf("workload   : %s (%s, %s engine, %u %s)\n",
-                W->name().c_str(), J.detector().name().c_str(),
-                Opts.Engine == EngineKind::Simulated ? "simulated"
-                                                     : "threaded",
-                Opts.Threads,
-                Opts.Engine == EngineKind::Simulated ? "cores" : "threads");
+    printWorkloadLine(*W, J, Opts);
     // The simulator's times are virtual cost units; real-thread runs
     // are wall seconds, printed in ms so a sub-second run is legible.
     if (Opts.Engine == EngineKind::Simulated)
@@ -1035,33 +1044,13 @@ int cmdServe(const CliOptions &Opts) {
   using namespace janus::serve;
   using SteadyClock = std::chrono::steady_clock;
 
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
-    return 1;
-  }
   JanusConfig Cfg = configFor(Opts);
   Cfg.RecordTrace = Opts.Audit; // Per-batch audits replay the trace.
-  Janus J(Cfg);
-  W->setup(J);
-
-  if (Opts.Detector == DetectorKind::Sequence) {
-    if (!Opts.CacheIn.empty()) {
-      std::ifstream In(Opts.CacheIn);
-      std::ostringstream Buffer;
-      Buffer << In.rdbuf();
-      if (!In || !J.importTrainingArtifact(Buffer.str())) {
-        std::fprintf(stderr,
-                     "janus: error: cannot load training artifact '%s'\n",
-                     Opts.CacheIn.c_str());
-        return 1;
-      }
-    } else {
-      for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-        J.train(W->makeTasks(P));
-    }
-  }
+  std::unique_ptr<Workload> W;
+  std::unique_ptr<Janus> Owned = setUp(Opts, Cfg, W);
+  if (!Owned)
+    return 1;
+  Janus &J = *Owned;
 
   // Submissions name tasks by index into the workload's production
   // task set (modulo), so the mix a client generates is the mix the
@@ -1279,33 +1268,13 @@ int cmdServe(const CliOptions &Opts) {
 /// abort to its conflict source (location, operation pair, Figure 8
 /// verdict) and print the ranked table. See obs/Attribution.h.
 int cmdExplain(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
-    return 1;
-  }
   JanusConfig Cfg = configFor(Opts);
   Cfg.RecordTrace = true; // Attribution replays the recorded attempts.
-  Janus J(Cfg);
-  W->setup(J);
-
-  if (Opts.Detector == DetectorKind::Sequence) {
-    if (!Opts.CacheIn.empty()) {
-      std::ifstream In(Opts.CacheIn);
-      std::ostringstream Buffer;
-      Buffer << In.rdbuf();
-      if (!In || !J.importTrainingArtifact(Buffer.str())) {
-        std::fprintf(stderr,
-                     "janus: error: cannot load training artifact '%s'\n",
-                     Opts.CacheIn.c_str());
-        return 1;
-      }
-    } else {
-      for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-        J.train(W->makeTasks(P));
-    }
-  }
+  std::unique_ptr<Workload> W;
+  std::unique_ptr<Janus> Owned = setUp(Opts, Cfg, W);
+  if (!Owned)
+    return 1;
+  Janus &J = *Owned;
 
   PayloadSpec Payload{Opts.Seed, Opts.Production};
   RunOutcome O = runWithBaseline(J, *W, W->makeTasks(Payload));
@@ -1321,12 +1290,7 @@ int cmdExplain(const CliOptions &Opts) {
   }
 
   if (!Opts.Json) {
-    std::printf("workload   : %s (%s, %s engine, %u %s)\n",
-                W->name().c_str(), J.detector().name().c_str(),
-                Opts.Engine == EngineKind::Simulated ? "simulated"
-                                                     : "threaded",
-                Opts.Threads,
-                Opts.Engine == EngineKind::Simulated ? "cores" : "threads");
+    printWorkloadLine(*W, J, Opts);
     std::printf("run        : %llu commits, %llu retries, speedup %.2fx\n",
                 (unsigned long long)J.runStats().Commits.load(),
                 (unsigned long long)J.runStats().Retries.load(),
@@ -1368,33 +1332,13 @@ int cmdExplain(const CliOptions &Opts) {
 }
 
 int cmdAudit(const CliOptions &Opts) {
-  auto W = workloadByName(Opts.WorkloadName);
-  if (!W) {
-    std::fprintf(stderr, "janus: error: unknown workload '%s'\n",
-                 Opts.WorkloadName.c_str());
-    return 1;
-  }
   JanusConfig Cfg = configFor(Opts);
   Cfg.RecordTrace = true;
-  Janus J(Cfg);
-  W->setup(J);
-
-  if (Opts.Detector == DetectorKind::Sequence) {
-    if (!Opts.CacheIn.empty()) {
-      std::ifstream In(Opts.CacheIn);
-      std::ostringstream Buffer;
-      Buffer << In.rdbuf();
-      if (!In || !J.importTrainingArtifact(Buffer.str())) {
-        std::fprintf(stderr,
-                     "janus: error: cannot load training artifact '%s'\n",
-                     Opts.CacheIn.c_str());
-        return 1;
-      }
-    } else {
-      for (const PayloadSpec &P : W->trainingPayloads(Opts.Rounds))
-        J.train(W->makeTasks(P));
-    }
-  }
+  std::unique_ptr<Workload> W;
+  std::unique_ptr<Janus> Owned = setUp(Opts, Cfg, W);
+  if (!Owned)
+    return 1;
+  Janus &J = *Owned;
 
   // Build the task set once so the audit replays the exact bodies the
   // run executed.
@@ -1406,12 +1350,7 @@ int cmdAudit(const CliOptions &Opts) {
   analysis::AuditReport Report =
       analysis::audit(J.lastTrace(), Tasks, J.registry());
 
-  std::printf("workload   : %s (%s, %s engine, %u %s)\n",
-              W->name().c_str(), J.detector().name().c_str(),
-              Opts.Engine == EngineKind::Simulated ? "simulated"
-                                                   : "threaded",
-              Opts.Threads,
-              Opts.Engine == EngineKind::Simulated ? "cores" : "threads");
+  printWorkloadLine(*W, J, Opts);
   std::printf("run        : %llu commits, %llu retries, speedup %.2fx\n",
               (unsigned long long)J.runStats().Commits.load(),
               (unsigned long long)J.runStats().Retries.load(), O.speedup());
