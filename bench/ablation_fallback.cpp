@@ -74,11 +74,12 @@ int main(int Argc, char **Argv) {
   for (const Config &C : Configs) {
     TextTable T;
     T.setHeader({"benchmark", "speedup", "retry ratio"});
+    const std::vector<std::string> Names = benchmarkNames();
     double AvgSpeed = 0, AvgRetry = 0;
-    for (const std::string &Name : benchmarkNames()) {
+    for (const std::string &Name : Names) {
       Measurement M = runWith(Name, C);
-      AvgSpeed += M.Speedup / 5.0;
-      AvgRetry += M.RetryRatio / 5.0;
+      AvgSpeed += M.Speedup / static_cast<double>(Names.size());
+      AvgRetry += M.RetryRatio / static_cast<double>(Names.size());
       T.addRow({Name, formatDouble(M.Speedup, 2) + "x",
                 formatDouble(M.RetryRatio, 2)});
       Report.addRow({{"benchmark", Name},

@@ -62,8 +62,9 @@ int main(int Argc, char **Argv) {
               std::to_string(MWith.UniqueQueries),
               std::to_string(MWithout.UniqueQueries)});
   }
-  T.addRow({"average", formatPercent(SumWith / 5.0),
-            formatPercent(SumWithout / 5.0), "", ""});
+  const double N = static_cast<double>(benchmarkNames().size());
+  T.addRow({"average", formatPercent(SumWith / N),
+            formatPercent(SumWithout / N), "", ""});
   std::printf("%s\n", T.render().c_str());
   std::printf("Paper reference: <17%% avg with abstraction (worst ~30%%), "
               "~38%% avg without (JGraphT-1 ~80%%).\n");

@@ -1,88 +1,46 @@
 #include "janus/conflict/CommutativityCache.h"
 
-#include "janus/support/Assert.h"
-
-#include <algorithm>
-#include <functional>
-#include <mutex>
 #include <sstream>
 
 using namespace janus;
 using namespace janus::conflict;
 
-static unsigned roundUpPow2(unsigned N) {
-  unsigned P = 1;
-  while (P < N && P < (1u << 16))
-    P <<= 1;
-  return P;
-}
-
-CommutativityCache::CommutativityCache(unsigned ShardCount) {
-  unsigned N = roundUpPow2(ShardCount ? ShardCount : 1);
-  Shards.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-}
-
-CommutativityCache::Shard &CommutativityCache::shardFor(const CacheKey &Key) {
-  size_t H = std::hash<std::string>{}(Key.LocClass);
-  return *Shards[H & (Shards.size() - 1)];
-}
-
-const CommutativityCache::Shard &
-CommutativityCache::shardFor(const CacheKey &Key) const {
-  size_t H = std::hash<std::string>{}(Key.LocClass);
-  return *Shards[H & (Shards.size() - 1)];
-}
-
 void CommutativityCache::insert(CacheKey Key, symbolic::Condition Cond) {
-  Shard &S = shardFor(Key);
-  std::unique_lock<std::shared_mutex> Guard(S.Mutex);
-  S.Entries[std::move(Key)] = std::move(Cond);
+  std::lock_guard<std::mutex> Guard(Mutex);
+  Entries[std::move(Key)] = std::move(Cond);
+  Generation.fetch_add(1, std::memory_order_seq_cst);
 }
 
 std::optional<symbolic::Condition>
 CommutativityCache::lookup(const CacheKey &Key) const {
-  const Shard &S = shardFor(Key);
-  std::shared_lock<std::shared_mutex> Guard(S.Mutex);
-  auto It = S.Entries.find(Key);
-  if (It == S.Entries.end())
+  std::lock_guard<std::mutex> Guard(Mutex);
+  auto It = Entries.find(Key);
+  if (It == Entries.end())
     return std::nullopt;
   return It->second;
 }
 
 size_t CommutativityCache::size() const {
-  size_t N = 0;
-  for (const auto &S : Shards) {
-    std::shared_lock<std::shared_mutex> Guard(S->Mutex);
-    N += S->Entries.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> Guard(Mutex);
+  return Entries.size();
 }
 
-std::vector<std::pair<CacheKey, symbolic::Condition>>
-CommutativityCache::sortedEntries() const {
-  std::vector<std::pair<CacheKey, symbolic::Condition>> Out;
-  for (const auto &S : Shards) {
-    std::shared_lock<std::shared_mutex> Guard(S->Mutex);
-    for (const auto &[Key, Cond] : S->Entries)
-      Out.emplace_back(Key, Cond);
-  }
-  std::sort(Out.begin(), Out.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  return Out;
+std::map<CacheKey, symbolic::Condition> CommutativityCache::entries() const {
+  std::lock_guard<std::mutex> Guard(Mutex);
+  return Entries;
 }
 
-void CommutativityCache::clearAll() {
-  for (const auto &S : Shards) {
-    std::unique_lock<std::shared_mutex> Guard(S->Mutex);
-    S->Entries.clear();
-  }
+void CommutativityCache::replaceAll(
+    std::map<CacheKey, symbolic::Condition> Next) {
+  std::lock_guard<std::mutex> Guard(Mutex);
+  Entries = std::move(Next);
+  Generation.fetch_add(1, std::memory_order_seq_cst);
 }
 
 std::string CommutativityCache::serialize() const {
   std::string Out = "janus-commutativity-cache v1\n";
-  for (const auto &[Key, Cond] : sortedEntries()) {
+  std::lock_guard<std::mutex> Guard(Mutex);
+  for (const auto &[Key, Cond] : Entries) {
     Out += "class " + Key.LocClass + "\n";
     Out += "mine " + Key.MineSig + "\n";
     Out += "theirs " + Key.TheirsSig + "\n";
@@ -94,12 +52,14 @@ std::string CommutativityCache::serialize() const {
 }
 
 bool CommutativityCache::deserializeInto(const std::string &In) {
-  clearAll();
-
   std::istringstream Stream(In);
   std::string Line;
-  if (!std::getline(Stream, Line) || Line != "janus-commutativity-cache v1")
+  auto Fail = [this]() {
+    replaceAll({});
     return false;
+  };
+  if (!std::getline(Stream, Line) || Line != "janus-commutativity-cache v1")
+    return Fail();
   auto StripPrefix = [](const std::string &S, const char *Prefix,
                         std::string &Rest) {
     size_t Len = std::string(Prefix).size();
@@ -109,10 +69,7 @@ bool CommutativityCache::deserializeInto(const std::string &In) {
     return true;
   };
 
-  auto Fail = [this]() {
-    clearAll();
-    return false;
-  };
+  std::map<CacheKey, symbolic::Condition> Parsed;
   while (std::getline(Stream, Line)) {
     if (Line.empty())
       continue;
@@ -133,7 +90,8 @@ bool CommutativityCache::deserializeInto(const std::string &In) {
     auto Cond = symbolic::Condition::deserialize(CondText, Pos);
     if (!Cond)
       return Fail();
-    insert(std::move(Key), std::move(*Cond));
+    Parsed[std::move(Key)] = std::move(*Cond);
   }
+  replaceAll(std::move(Parsed));
   return true;
 }

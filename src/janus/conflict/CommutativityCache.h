@@ -12,10 +12,10 @@
 /// designated condition; otherwise JANUS falls back to the configured
 /// default (§3 step 5).
 ///
-/// The store is striped over independently locked shards keyed by the
-/// location class, so parallel detection rounds querying different
-/// classes never contend on one lock (or its cache line). Ordered
-/// whole-cache views (serialize, forEach) merge the shards on demand.
+/// The store is one key-ordered map behind one lock. Detection does not
+/// probe it per query: each SequenceDetector keeps its own query table
+/// and probes the cache only on a key's first sight or after the cache
+/// changed, which the cache's generation counter tells it.
 ///
 /// The cache also supports textual (de)serialization so training
 /// artifacts persist across process runs.
@@ -27,12 +27,12 @@
 
 #include "janus/symbolic/Condition.h"
 
+#include <atomic>
+#include <cstdint>
 #include <map>
-#include <memory>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <vector>
 
 namespace janus {
 namespace conflict {
@@ -60,14 +60,10 @@ struct CacheKey {
   }
 };
 
-/// Thread-safe, shard-striped commutativity-condition store. Typically
-/// populated by the trainer before parallel execution; concurrent
-/// lookups during execution take a shared lock on one shard only.
+/// Thread-safe commutativity-condition store. Typically populated by the
+/// trainer before parallel execution.
 class CommutativityCache {
 public:
-  /// \param ShardCount lock stripes (rounded up to a power of two).
-  explicit CommutativityCache(unsigned ShardCount = 8);
-
   /// Inserts (or overwrites) an entry.
   void insert(CacheKey Key, symbolic::Condition Cond);
 
@@ -76,8 +72,15 @@ public:
 
   size_t size() const;
 
+  /// Counts the changes made so far: every insert and every
+  /// deserializeInto bumps it. A reader that keeps an answer read at
+  /// generation G must look again once this differs from G.
+  uint64_t generation() const {
+    return Generation.load(std::memory_order_seq_cst);
+  }
+
   /// Renders the whole cache in a line-oriented text format, in key
-  /// order (byte-stable across shard counts).
+  /// order.
   std::string serialize() const;
 
   /// Replaces this cache's contents with entries parsed from text
@@ -85,29 +88,22 @@ public:
   /// cache empty) on malformed input.
   bool deserializeInto(const std::string &In);
 
-  /// Invokes \p Fn(key, condition) for every entry, in key order.
+  /// Invokes \p Fn(key, condition) for every entry, in key order, on a
+  /// copy taken under the lock (so \p Fn may use the cache).
   template <typename Fn> void forEach(Fn &&Callback) const {
-    for (const auto &[Key, Cond] : sortedEntries())
+    for (const auto &[Key, Cond] : entries())
       Callback(Key, Cond);
   }
 
 private:
-  /// One lock stripe with its slice of the key space.
-  struct alignas(64) Shard {
-    mutable std::shared_mutex Mutex;
-    std::map<CacheKey, symbolic::Condition> Entries;
-  };
+  std::map<CacheKey, symbolic::Condition> entries() const;
 
-  Shard &shardFor(const CacheKey &Key);
-  const Shard &shardFor(const CacheKey &Key) const;
+  /// Swaps in \p Next as the whole contents and bumps the generation.
+  void replaceAll(std::map<CacheKey, symbolic::Condition> Next);
 
-  /// Snapshots every shard and merges the slices in key order.
-  std::vector<std::pair<CacheKey, symbolic::Condition>> sortedEntries() const;
-
-  /// Clears every shard (taking all the locks).
-  void clearAll();
-
-  std::vector<std::unique_ptr<Shard>> Shards; ///< Power-of-two size.
+  mutable std::mutex Mutex;
+  std::map<CacheKey, symbolic::Condition> Entries;
+  std::atomic<uint64_t> Generation{0};
 };
 
 } // namespace conflict

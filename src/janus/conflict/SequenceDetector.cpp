@@ -23,42 +23,27 @@ ChecksSpec conflict::checksFor(const RelaxationSpec &Relax) {
   return Checks;
 }
 
+/// Adds the conflict history's bindings to \p B, offset by
+/// TheirParamOffset.
+static void addTheirs(Bindings &B, const Bindings &Theirs) {
+  for (const auto &[Sym, Val] : Theirs)
+    B.insert_or_assign(B.end(), Sym + TheirParamOffset, Val);
+}
+
 PairQuery conflict::buildPairQuery(const std::string &LocClass,
                                    const LocOpSeq &Mine,
                                    const LocOpSeq &Theirs,
                                    bool UseAbstraction) {
-  return buildPairQueryFrom(LocClass,
-                            abstractSequence(symbolize(Mine), UseAbstraction),
-                            abstractSequence(symbolize(Theirs),
-                                             UseAbstraction));
-}
-
-PairQuery conflict::buildPairQueryFrom(const std::string &LocClass,
-                                       abstraction::AbstractResult MineAbs,
-                                       abstraction::AbstractResult TheirsAbs) {
-  std::string MineSig = MineAbs.Seq.signature();
-  std::string TheirsSig = TheirsAbs.Seq.signature();
-  return buildPairQueryFrom(LocClass, std::move(MineAbs),
-                            std::move(TheirsAbs), std::move(MineSig),
-                            std::move(TheirsSig));
-}
-
-PairQuery conflict::buildPairQueryFrom(const std::string &LocClass,
-                                       abstraction::AbstractResult MineAbs,
-                                       abstraction::AbstractResult TheirsAbs,
-                                       std::string MineSig,
-                                       std::string TheirsSig) {
+  abstraction::AbstractResult MineAbs =
+      abstractSequence(symbolize(Mine), UseAbstraction);
+  abstraction::AbstractResult TheirsAbs =
+      abstractSequence(symbolize(Theirs), UseAbstraction);
   PairQuery Q;
-  Q.Key.LocClass = LocClass;
-  Q.Key.MineSig = std::move(MineSig);
-  Q.Key.TheirsSig = std::move(TheirsSig);
+  Q.Key = {LocClass, MineAbs.Seq.signature(), TheirsAbs.Seq.signature()};
   Q.MineAbs = std::move(MineAbs.Seq);
   Q.TheirsAbs = std::move(TheirsAbs.Seq);
-
   Q.Binds = std::move(MineAbs.Binds);
-  for (const auto &[Sym, Val] : TheirsAbs.Binds)
-    Q.Binds[Sym + TheirParamOffset] = Val;
-
+  addTheirs(Q.Binds, TheirsAbs.Binds);
   Q.GroupParams = std::move(MineAbs.GroupParams);
   for (SymId S : TheirsAbs.GroupParams)
     Q.GroupParams.insert(S + TheirParamOffset);
@@ -87,34 +72,8 @@ static std::string memoKey(const LocOpSeq &Seq) {
   return Key;
 }
 
-uint64_t
-SequenceDetector::internIn(std::unordered_map<std::string, uint64_t> &Table,
-                           const std::string &Text) {
-  {
-    std::shared_lock<std::shared_mutex> Guard(InternMutex);
-    auto It = Table.find(Text);
-    if (It != Table.end())
-      return It->second;
-  }
-  std::unique_lock<std::shared_mutex> Guard(InternMutex);
-  auto It = Table.find(Text);
-  if (It != Table.end())
-    return It->second;
-  if (Table.size() >= MaxInternEntries)
-    return 0; // Overflow: callers fall back to string-keyed tracking.
-  uint64_t Id = Table.size() + 1;
-  Table.emplace(Text, Id);
-  return Id;
-}
-
 std::shared_ptr<const SequenceDetector::InternedAbs>
 SequenceDetector::abstracted(const LocOpSeq &Seq) {
-  if (!Config.MemoizeSignatures) {
-    auto Fresh = std::make_shared<InternedAbs>();
-    Fresh->Abs = abstractSequence(symbolize(Seq), Config.UseAbstraction);
-    Fresh->Sig = Fresh->Abs.Seq.signature();
-    return Fresh;
-  }
   std::string Key = memoKey(Seq);
   MemoShard &S = Memos[std::hash<std::string>{}(Key) & (Stripes - 1)];
   {
@@ -130,10 +89,13 @@ SequenceDetector::abstracted(const LocOpSeq &Seq) {
   auto Fresh = std::make_shared<InternedAbs>();
   Fresh->Abs = abstractSequence(symbolize(Seq), Config.UseAbstraction);
   Fresh->Sig = Fresh->Abs.Seq.signature();
-  // Ids are per distinct signature (not per concrete sequence), so the
-  // unique-query accounting matches the rendered-key accounting even
-  // when many concrete sequences share one abstraction.
-  Fresh->Id = internIn(SigIds, Fresh->Sig);
+  {
+    // Ids are per distinct signature (not per concrete sequence), so a
+    // query's id triple identifies its cache key exactly.
+    std::lock_guard<std::mutex> Guard(InternMutex);
+    Fresh->Id =
+        SigIds.try_emplace(Fresh->Sig, SigIds.size() + 1).first->second;
+  }
   std::unique_lock<std::shared_mutex> Guard(S.Mutex);
   if (S.Memo.size() < MaxMemoEntries / Stripes)
     S.Memo.emplace(std::move(Key), Fresh);
@@ -151,69 +113,83 @@ std::string SequenceDetector::name() const {
 
 size_t SequenceDetector::uniqueQueries() const {
   size_t N = 0;
-  for (const TrackShard &S : Tracking) {
-    std::lock_guard<std::mutex> Guard(S.Mutex);
-    N += S.Seen.size() + S.SeenIds.size();
+  for (const QueryShard &S : Queries) {
+    std::shared_lock<std::shared_mutex> Guard(S.Mutex);
+    N += S.Table.size();
   }
   return N;
 }
 
 size_t SequenceDetector::uniqueMisses() const {
-  size_t N = 0;
-  for (const TrackShard &S : Tracking) {
-    std::lock_guard<std::mutex> Guard(S.Mutex);
-    N += S.Missed.size();
-  }
-  return N;
+  return missedQueryKeys().size();
 }
 
 std::vector<std::string> SequenceDetector::missedQueryKeys() const {
-  // Keys are disjoint across shards; merge and restore the sorted
-  // order the single-set implementation used to provide.
   std::vector<std::string> Out;
-  for (const TrackShard &S : Tracking) {
-    std::lock_guard<std::mutex> Guard(S.Mutex);
-    Out.insert(Out.end(), S.Missed.begin(), S.Missed.end());
+  for (const QueryShard &S : Queries) {
+    std::shared_lock<std::shared_mutex> Guard(S.Mutex);
+    for (const auto &[Id, E] : S.Table)
+      if (!E.MissedKey.empty())
+        Out.push_back(E.MissedKey);
   }
   std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
   return Out;
 }
 
 void SequenceDetector::resetUniqueQueryTracking() {
-  for (TrackShard &S : Tracking) {
-    std::lock_guard<std::mutex> Guard(S.Mutex);
-    S.Seen.clear();
-    S.Missed.clear();
-    S.SeenIds.clear();
+  for (QueryShard &S : Queries) {
+    std::unique_lock<std::shared_mutex> Guard(S.Mutex);
+    S.Table.clear();
   }
 }
 
-void SequenceDetector::trackQuery(const CacheKey &Key, uint64_t MineId,
-                                  uint64_t TheirsId, bool Missed) {
-  // Fast path: the interned id triple identifies the query without
-  // rendering the cache key. Misses additionally materialize the key
-  // string (they are rare, and missedQueryKeys() wants text).
-  if (MineId != 0 && TheirsId != 0) {
-    if (uint64_t ClassId = internIn(ClassIds, Key.LocClass)) {
-      std::array<uint64_t, 3> IdKey{ClassId, MineId, TheirsId};
-      uint64_t H = ClassId * 0x9e3779b97f4a7c15ULL;
-      H ^= MineId + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-      H ^= TheirsId + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
-      TrackShard &S = Tracking[H & (Stripes - 1)];
-      std::lock_guard<std::mutex> Guard(S.Mutex);
-      S.SeenIds.insert(IdKey);
-      if (Missed)
-        S.Missed.insert(Key.toString());
-      return;
+size_t SequenceDetector::QueryHash::operator()(const QueryRef &R) const {
+  size_t H = std::hash<std::string_view>{}(R.LocClass);
+  H ^= R.MineId + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
+  H ^= R.TheirsId + 0x9e3779b97f4a7c15ULL + (H << 6) + (H >> 2);
+  return H;
+}
+
+SequenceDetector::LearnedAnswer
+SequenceDetector::learned(const std::string &LocClass, const InternedAbs &Mine,
+                          const InternedAbs &Theirs, const Value &EntryVal) {
+  const QueryRef Ref{LocClass, Mine.Id, Theirs.Id};
+  QueryShard &S = Queries[QueryHash{}(Ref) & (Stripes - 1)];
+  auto Answer = [&](const QueryEntry &E) {
+    LearnedAnswer A;
+    A.Hit = E.Cond.has_value();
+    if (A.Hit) {
+      Bindings B = Mine.Abs.Binds;
+      addTheirs(B, Theirs.Abs.Binds);
+      B[EntrySym] = EntryVal;
+      A.Commutes = E.Cond->evaluate(B);
     }
+    return A;
+  };
+  {
+    std::shared_lock<std::shared_mutex> Guard(S.Mutex);
+    auto It = S.Table.find(Ref);
+    if (It != S.Table.end() && It->second.Generation == Cache->generation())
+      return Answer(It->second);
   }
-  std::string KeyStr = Key.toString();
-  TrackShard &S = Tracking[std::hash<std::string>{}(KeyStr) & (Stripes - 1)];
-  std::lock_guard<std::mutex> Guard(S.Mutex);
-  if (Missed)
-    S.Missed.insert(KeyStr);
-  S.Seen.insert(std::move(KeyStr));
+  // First sight of the key, or the cache changed since the entry was
+  // read. The generation is read before the probe, so an insert racing
+  // with the probe leaves the entry stale (probed again next time)
+  // rather than wrong.
+  const uint64_t Gen = Cache->generation();
+  CacheKey Key{LocClass, Mine.Sig, Theirs.Sig};
+  std::optional<Condition> Cond = Cache->lookup(Key);
+  std::unique_lock<std::shared_mutex> Guard(S.Mutex);
+  auto It = S.Table.find(Ref);
+  if (It == S.Table.end())
+    It = S.Table.emplace(QueryId{LocClass, Mine.Id, Theirs.Id}, QueryEntry())
+             .first;
+  QueryEntry &E = It->second;
+  if (!Cond && E.MissedKey.empty())
+    E.MissedKey = Key.toString();
+  E.Cond = std::move(Cond);
+  E.Generation = Gen;
+  return Answer(E);
 }
 
 /// \returns true when every read in \p Seq is preceded (within the
@@ -308,18 +284,13 @@ bool SequenceDetector::locationConflicts(const Value &EntryVal,
 
   std::shared_ptr<const InternedAbs> MineI = abstracted(Mine);
   std::shared_ptr<const InternedAbs> TheirsI = abstracted(Theirs);
-  PairQuery Q = buildPairQueryFrom(Info.LocClass, MineI->Abs, TheirsI->Abs,
-                                   MineI->Sig, TheirsI->Sig);
+  const LearnedAnswer Learned =
+      learned(Info.LocClass, *MineI, *TheirsI, EntryVal);
 
-  std::optional<Condition> Cached = Cache->lookup(Q.Key);
-  trackQuery(Q.Key, MineI->Id, TheirsI->Id, /*Missed=*/!Cached);
-
-  if (Cached) {
+  if (Learned.Hit) {
     ++Stats.CacheHits;
-    Bindings B = Q.Binds;
-    B[EntrySym] = EntryVal;
-    if (std::optional<bool> Commutes = Cached->evaluate(B))
-      return !*Commutes;
+    if (Learned.Commutes)
+      return !*Learned.Commutes;
     // The condition could not be evaluated under these bindings (e.g.
     // V0 has an unexpected type); fall through to the default.
   } else {
@@ -328,10 +299,13 @@ bool SequenceDetector::locationConflicts(const Value &EntryVal,
 
   if (Config.OnlineFallback) {
     ++Stats.OnlineChecks;
-    if (Config.MemoizeOnline && !Cached) {
+    if (Config.MemoizeOnline && !Learned.Hit) {
       // Online training: compute and install the condition the offline
       // trainer would have produced for this pair, so the next
-      // occurrence of the query is a hit.
+      // occurrence of the query is a hit (the insert moves the cache's
+      // generation, which sends the query table back to the cache).
+      PairQuery Q =
+          buildPairQuery(Info.LocClass, Mine, Theirs, Config.UseAbstraction);
       std::optional<Condition> Cond = commutativityCondition(
           Q.MineAbs.expandOnce(),
           [&Q]() {

@@ -14,6 +14,13 @@
 /// default — the write-set test, or (optionally) the exact online
 /// sequence check.
 ///
+/// The lookup is one probe of the detector's query table, keyed by the
+/// location class and the interned ids of the two signatures. An entry
+/// holds the cache's answer (a condition or a miss) and the cache
+/// generation it was read at; only a key's first sight or a changed
+/// cache probes CommutativityCache. The table is also the Figure 11
+/// count: one entry per distinct query, marked once it has missed.
+///
 /// Consistency relaxations (§5.3): objects marked tolerate-RAW skip the
 /// SAMEREAD tests; objects marked tolerate-WAW skip the final COMMUTE
 /// test.
@@ -33,8 +40,10 @@
 #include <array>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -65,20 +74,6 @@ PairQuery buildPairQuery(const std::string &LocClass,
                          const symbolic::LocOpSeq &Theirs,
                          bool UseAbstraction);
 
-/// Assembles a query from already-abstracted halves (the detector's
-/// memoized path and the trainer share this).
-PairQuery buildPairQueryFrom(const std::string &LocClass,
-                             abstraction::AbstractResult MineAbs,
-                             abstraction::AbstractResult TheirsAbs);
-
-/// As above, but with the two signature strings already rendered (the
-/// detector's interned path: a memo hit carries its canonical signature
-/// and skips re-rendering it per query).
-PairQuery buildPairQueryFrom(const std::string &LocClass,
-                             abstraction::AbstractResult MineAbs,
-                             abstraction::AbstractResult TheirsAbs,
-                             std::string MineSig, std::string TheirsSig);
-
 /// Configuration of the sequence-based detector.
 struct SequenceDetectorConfig {
   /// Kleene-cross sequence abstraction (§5.2). Figure 11 compares
@@ -98,15 +93,6 @@ struct SequenceDetectorConfig {
   /// extension beyond the paper; the Figure 11 harness disables it so
   /// the cache sees the full query stream, as in the paper).
   bool RelaxationFastPath = true;
-  /// Memoize symbolization + abstraction per distinct concrete
-  /// sequence. Per-location sequences recur constantly (the same task
-  /// shapes stream past the detector), so this removes nearly all of
-  /// the per-query canonicalization cost. Memo entries are *interned*:
-  /// each carries its signature rendered once plus a hash-cons id, so
-  /// repeated attempts skip re-canonicalization entirely
-  /// (DetectorStats::SignatureInternHits counts the skips). Capped;
-  /// pure caching, no semantic effect.
-  bool MemoizeSignatures = true;
   /// Per-ADT spec-table dispatch (conflict/SpecTable.h): tier 1 of the
   /// query path. On asks the spec first and falls through to the
   /// learned cache on Abstain; Only answers abstains with the write-set
@@ -151,12 +137,19 @@ private:
   /// An interned abstraction: the canonical abstract result plus its
   /// signature rendered exactly once and a process-local hash-cons id
   /// (ids are assigned per distinct *signature*, so two concrete
-  /// sequences with the same abstraction share an id). Id 0 means
-  /// "not interned" (memo disabled or intern table at capacity).
+  /// sequences with the same abstraction share an id).
   struct InternedAbs {
     abstraction::AbstractResult Abs;
     std::string Sig;
     uint64_t Id = 0;
+  };
+
+  /// The learned tier's answer to one query: whether the cache holds a
+  /// condition for it, and the condition's verdict (nullopt when it
+  /// cannot be evaluated under the query's bindings).
+  struct LearnedAnswer {
+    bool Hit = false;
+    std::optional<bool> Commutes;
   };
 
   /// With \p Degrade set, the precise sequence machinery is skipped
@@ -167,33 +160,63 @@ private:
                          const ObjectInfo &Info, bool Degrade);
 
   /// Memoized + interned abstractSequence(symbolize(Seq),
-  /// UseAbstraction) with its pre-rendered signature.
+  /// UseAbstraction) with its pre-rendered signature. Per-location
+  /// sequences recur constantly, so this removes nearly all of the
+  /// per-query canonicalization cost (DetectorStats::SignatureInternHits
+  /// counts the memo hits).
   std::shared_ptr<const InternedAbs>
   abstracted(const symbolic::LocOpSeq &Seq);
 
-  /// Records one production query (and optionally its miss). The fast
-  /// path keys the seen-set by (class id, mine id, theirs id) without
-  /// rendering the cache key; the string is materialized only on a
-  /// miss (diagnostics) or when an id is unavailable.
-  void trackQuery(const CacheKey &Key, uint64_t MineId, uint64_t TheirsId,
-                  bool Missed);
-
-  /// Hash-cons id for \p Text in \p Table (1-based; 0 when the table
-  /// is at capacity).
-  uint64_t internIn(std::unordered_map<std::string, uint64_t> &Table,
-                    const std::string &Text);
+  /// The learned tier: looks the query up in the query table, probing
+  /// the cache only on the key's first sight or when the cache's
+  /// generation moved since the entry was read, and evaluates a cached
+  /// condition against the pair's bindings and \p EntryVal.
+  LearnedAnswer learned(const std::string &LocClass, const InternedAbs &Mine,
+                        const InternedAbs &Theirs, const Value &EntryVal);
 
   std::shared_ptr<CommutativityCache> Cache;
   SequenceDetectorConfig Config;
 
-  /// One stripe of the Figure 11 unique-query accounting. SeenIds is
-  /// the rendering-free fast path; Seen/Missed hold rendered keys for
-  /// misses and non-interned queries.
-  struct alignas(64) TrackShard {
-    mutable std::mutex Mutex;
-    std::set<std::string> Seen;
-    std::set<std::string> Missed;
-    std::set<std::array<uint64_t, 3>> SeenIds;
+  /// A query's identity: the location class and the interned signature
+  /// ids of both sequences. The table owns its keys' class text;
+  /// lookups pass a QueryRef view of the caller's.
+  struct QueryRef {
+    std::string_view LocClass;
+    uint64_t MineId = 0;
+    uint64_t TheirsId = 0;
+  };
+  struct QueryId {
+    std::string LocClass;
+    uint64_t MineId = 0;
+    uint64_t TheirsId = 0;
+    operator QueryRef() const { return {LocClass, MineId, TheirsId}; }
+  };
+  struct QueryHash {
+    using is_transparent = void;
+    size_t operator()(const QueryRef &R) const;
+  };
+  struct QueryEq {
+    using is_transparent = void;
+    bool operator()(const QueryRef &A, const QueryRef &B) const {
+      return A.MineId == B.MineId && A.TheirsId == B.TheirsId &&
+             A.LocClass == B.LocClass;
+    }
+  };
+
+  /// One query-table entry: the cache's answer for the key as read at
+  /// Generation (nullopt: no entry), and the rendered cache key once
+  /// the query has missed. A key that missed stays a Figure 11 miss
+  /// after the cache fills it.
+  struct QueryEntry {
+    std::optional<symbolic::Condition> Cond;
+    uint64_t Generation = 0;
+    std::string MissedKey;
+  };
+
+  /// One stripe of the query table.
+  struct alignas(64) QueryShard {
+    mutable std::shared_mutex Mutex;
+    std::unordered_map<QueryId, QueryEntry, QueryHash, QueryEq> Table;
   };
 
   /// One stripe of the signature memo: injective key over (kind,
@@ -204,22 +227,19 @@ private:
         Memo;
   };
 
-  /// Lock stripes of the memo and the tracking tables: detection
-  /// rounds running on different worker threads hash to different
-  /// stripes, so neither is a single contended lock. A power of two.
+  /// Lock stripes of the memo and the query table: detection rounds
+  /// running on different worker threads hash to different stripes, so
+  /// neither is a single contended lock. A power of two.
   static constexpr size_t Stripes = 8;
-  std::array<TrackShard, Stripes> Tracking;
+  std::array<QueryShard, Stripes> Queries;
   std::array<MemoShard, Stripes> Memos;
   /// Total memo capacity, split evenly across the stripes.
   static constexpr size_t MaxMemoEntries = 1u << 16;
 
-  /// Hash-cons tables: distinct signature text → id, distinct location
-  /// class → id. Read-mostly (inserts happen only on first sight);
-  /// capped, with overflow falling back to string-keyed tracking.
-  mutable std::shared_mutex InternMutex;
+  /// Hash-cons table: distinct signature text → id. Written only on a
+  /// memo miss.
+  std::mutex InternMutex;
   std::unordered_map<std::string, uint64_t> SigIds;
-  std::unordered_map<std::string, uint64_t> ClassIds;
-  static constexpr size_t MaxInternEntries = 1u << 16;
 };
 
 } // namespace conflict

@@ -11,18 +11,6 @@ ContentionManager::ContentionManager(ResilienceConfig Config,
                                      size_t NumTasks)
     : Config(Config), TasksState(NumTasks) {}
 
-const char *ContentionManager::toString(Action Act) {
-  switch (Act) {
-  case Action::Retry:
-    return "retry";
-  case Action::Serial:
-    return "serial";
-  case Action::Fail:
-    return "fail";
-  }
-  janusUnreachable("invalid contention-manager action");
-}
-
 /// splitmix64 finalizer — the jitter must be a pure function of its
 /// coordinates so injected and simulated runs stay reproducible.
 static uint64_t mix(uint64_t Z) {
@@ -82,11 +70,8 @@ ContentionManager::Decision ContentionManager::onException(uint32_t Tid,
                "exception for unknown task id");
   TaskState &T = TasksState[Tid - 1];
   ++T.Throws;
-  if (T.Throws > Config.ExceptionRetryBudget) {
-    if (Config.Board)
-      Config.Board->RetryExhaustions.fetch_add(1, std::memory_order_relaxed);
+  if (T.Throws > Config.ExceptionRetryBudget)
     return {Action::Fail, 0};
-  }
   return {Action::Retry, backoffFor(Tid, T.Throws, Lane)};
 }
 

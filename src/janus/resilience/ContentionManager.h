@@ -66,7 +66,6 @@ namespace resilience {
 struct PressureBoard {
   std::atomic<uint64_t> CommitTicks{0};      ///< Commits (any engine).
   std::atomic<uint64_t> SerialFallbacks{0};  ///< CM Serial decisions.
-  std::atomic<uint64_t> RetryExhaustions{0}; ///< CM Fail decisions.
   std::atomic<uint32_t> EscalationLevel{0};  ///< 0 / 1 / 2, see above.
 };
 
@@ -105,10 +104,6 @@ public:
     Action Act = Action::Retry;
     uint64_t BackoffMicros = 0; ///< Only meaningful for Retry.
   };
-
-  /// Static-string name of \p Act ("retry" / "serial" / "fail") —
-  /// suitable as a trace-event note (janus::obs records CM decisions).
-  static const char *toString(Action Act);
 
   /// \param NumTasks tasks in the run (ids are 1..NumTasks).
   ContentionManager(ResilienceConfig Config, size_t NumTasks);

@@ -13,6 +13,14 @@ using namespace janus::serve;
 using resilience::CancelReason;
 using resilience::CancelToken;
 
+/// Deficit round-robin quantum: submissions per lane per pass.
+static constexpr uint32_t DrrQuantum = 4;
+
+/// Shed gate: intake is shed while serial fallbacks exceed this share of
+/// the commits over the watchdog window (the engine has gone mostly
+/// pessimistic).
+static constexpr double ShedSerialShare = 0.5;
+
 const char *janus::serve::toString(ReplyStatus S) {
   switch (S) {
   case ReplyStatus::Committed:
@@ -196,7 +204,7 @@ size_t Service::buildBatch(std::vector<Submission> &Batch) {
         L.Deficit = 0; // No banking credit while idle.
         continue;
       }
-      L.Deficit += Config.DrrQuantum;
+      L.Deficit += DrrQuantum;
       while (L.Deficit > 0 && !L.Q.empty() &&
              Batch.size() < Config.BatchMax) {
         Submission S = std::move(L.Q.front());
@@ -481,10 +489,9 @@ void Service::watchdogLoop() {
     // Pressure gate: shed new work while serial fallbacks dominate the
     // commit mix — the engine has gone pessimistic and more intake
     // would only lengthen the convoy.
-    if (Config.ShedSerialShare > 0 && TickDelta > 0)
+    if (TickDelta > 0)
       ShedGate.store(static_cast<double>(SerialDelta) >
-                         Config.ShedSerialShare *
-                             static_cast<double>(TickDelta),
+                         ShedSerialShare * static_cast<double>(TickDelta),
                      std::memory_order_release);
 
     // Drain hard deadline: cancel the in-flight batch via the global

@@ -122,8 +122,6 @@ struct ServeConfig {
   uint32_t QueueCap = 1024;
   /// Per-client pending cap (queued + in batch); beyond it: shed.
   uint32_t LaneCap = 256;
-  /// Deficit round-robin quantum (submissions per lane per pass).
-  uint32_t DrrQuantum = 4;
   /// Run batches in task order (runInOrder) instead of out-of-order.
   bool Ordered = false;
   /// Audit every recorded batch trace (requires RecordTrace on the
@@ -137,10 +135,6 @@ struct ServeConfig {
   /// No commit progress for this long (batch in flight) escalates the
   /// contention-manager ladder one level.
   int64_t StallEscalateUs = 200000;
-  /// Shed gate: raise when serial fallbacks exceed this share of
-  /// commits over the watchdog window (the engine has gone mostly
-  /// pessimistic). <= 0 disables the gate.
-  double ShedSerialShare = 0.5;
   /// External stop flag (e.g. set by a signal handler); polled by the
   /// scheduler. nullptr = requestStop() only.
   const std::atomic<bool> *StopFlag = nullptr;

@@ -167,7 +167,7 @@ bool modelConfirms(const conflict::CacheKey &Key, const Condition &Cond,
   if (!SMine || !STheirs)
     return false;
 
-  auto Cache = std::make_shared<conflict::CommutativityCache>(1);
+  auto Cache = std::make_shared<conflict::CommutativityCache>();
   Cache->insert(Key, Cond);
   conflict::SequenceDetectorConfig Cfg;
   Cfg.OnlineFallback = false; // Misses degrade to the write-set test.

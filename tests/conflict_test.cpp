@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace janus;
 using namespace janus::conflict;
 using namespace janus::symbolic;
@@ -354,32 +356,118 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OnlineConflictProperty,
                          ::testing::Values(3, 5, 7, 11));
 
 TEST(SequenceDetectorTest, SignatureMemoDoesNotChangeVerdicts) {
-  // Same queries with and without the memo must produce identical
-  // answers and identical cache-hit accounting.
-  DetectorWorld W1, W2;
+  // The memoized detector must give the answers and the cache-hit
+  // accounting of the unmemoized query (buildPairQuery + cache lookup +
+  // condition evaluation), query by query.
+  DetectorWorld W;
   PairQuery Q = buildPairQuery("work", {LocOp::add(1), LocOp::add(-1)},
                                {LocOp::add(2), LocOp::add(-2)}, true);
-  W1.Cache->insert(Q.Key, Condition::valid());
-  W2.Cache->insert(Q.Key, Condition::valid());
+  W.Cache->insert(Q.Key, Condition::valid());
+  SequenceDetector D(W.Cache);
 
-  SequenceDetectorConfig WithMemo;
-  WithMemo.MemoizeSignatures = true;
-  SequenceDetectorConfig NoMemo;
-  NoMemo.MemoizeSignatures = false;
-  SequenceDetector D1(W1.Cache, WithMemo), D2(W2.Cache, NoMemo);
-
+  uint64_t ReferenceHits = 0;
   for (int I = 0; I != 20; ++I) {
-    TxLog Mine{{Location(W1.Work), LocOp::add(I + 1)},
-               {Location(W1.Work), LocOp::add(-(I + 1))}};
-    auto Theirs = logOf({{Location(W1.Work), LocOp::add(5)},
-                         {Location(W1.Work), LocOp::add(-5)}});
-    bool V1 = D1.detectConflicts(stm::Snapshot(), Mine, {Theirs}, W1.Reg);
-    // W2 has the same object layout (same registration order).
-    bool V2 = D2.detectConflicts(stm::Snapshot(), Mine, {Theirs}, W2.Reg);
+    LocOpSeq MineSeq{LocOp::add(I + 1), LocOp::add(-(I + 1))};
+    LocOpSeq TheirsSeq{LocOp::add(5), LocOp::add(-5)};
+    TxLog Mine{{Location(W.Work), MineSeq[0]}, {Location(W.Work), MineSeq[1]}};
+    auto Theirs = logOf({{Location(W.Work), TheirsSeq[0]},
+                         {Location(W.Work), TheirsSeq[1]}});
+    bool V1 = D.detectConflicts(stm::Snapshot(), Mine, {Theirs}, W.Reg);
+
+    PairQuery Ref = buildPairQuery("work", MineSeq, TheirsSeq, true);
+    std::optional<Condition> Cond = W.Cache->lookup(Ref.Key);
+    ASSERT_TRUE(Cond.has_value()) << "iteration " << I;
+    ++ReferenceHits;
+    Bindings B = Ref.Binds;
+    B[EntrySym] = Value::absent();
+    std::optional<bool> Commutes = Cond->evaluate(B);
+    ASSERT_TRUE(Commutes.has_value()) << "iteration " << I;
+    bool V2 = !*Commutes;
     EXPECT_EQ(V1, V2) << "iteration " << I;
     EXPECT_FALSE(V1);
   }
-  EXPECT_EQ(D1.stats().CacheHits.load(), D2.stats().CacheHits.load());
+  EXPECT_EQ(D.stats().CacheHits.load(), ReferenceHits);
+}
+
+TEST(SequenceDetectorTest, CacheChangesReachTheNextQuery) {
+  // The detector keeps the cache's answer per query. Every later change
+  // to the cache must reach the next query: a stale "commutes" would
+  // be unsound, and a stale miss would cost needless retries.
+  DetectorWorld W;
+  SequenceDetector D(W.Cache);
+  TxLog Mine{{Location(W.Work), LocOp::write(Value::of(1))}};
+  auto Theirs = logOf({{Location(W.Work), LocOp::write(Value::of(2))}});
+  auto Detect = [&] {
+    return D.detectConflicts(stm::Snapshot(), Mine, {Theirs}, W.Reg);
+  };
+  PairQuery Q = buildPairQuery("work", {LocOp::write(Value::of(1))},
+                               {LocOp::write(Value::of(2))}, true);
+
+  // Empty cache: a miss, answered by the write-set test.
+  EXPECT_TRUE(Detect());
+  EXPECT_EQ(D.stats().CacheMisses.load(), 1u);
+
+  // The query that missed hits after an insert.
+  W.Cache->insert(Q.Key, Condition::valid());
+  EXPECT_FALSE(Detect());
+  EXPECT_EQ(D.stats().CacheHits.load(), 1u);
+
+  // deserializeInto replaces the entry with never: the query now
+  // conflicts, answered from the cache rather than the fallback.
+  CommutativityCache Replacement;
+  Replacement.insert(Q.Key, Condition::never());
+  ASSERT_TRUE(W.Cache->deserializeInto(Replacement.serialize()));
+  EXPECT_TRUE(Detect());
+  EXPECT_EQ(D.stats().CacheHits.load(), 2u);
+  EXPECT_EQ(D.stats().WriteSetChecks.load(), 1u);
+
+  // Figure 11: one query, and it stays a unique miss after the fill.
+  EXPECT_EQ(D.uniqueQueries(), 1u);
+  EXPECT_EQ(D.uniqueMisses(), 1u);
+  EXPECT_EQ(D.missedQueryKeys(), std::vector<std::string>{Q.Key.toString()});
+}
+
+TEST(SequenceDetectorTest, ConcurrentQueriesCountAsOneThreadDoes) {
+  // One detector shared by four threads over one set of queries keeps
+  // the Figure 11 counts of a single thread running the same set.
+  DetectorWorld W;
+  std::vector<std::pair<TxLog, TxLogRef>> Queries;
+  for (int K = 0; K != 6; ++K) {
+    std::string Class = "class" + std::to_string(K);
+    ObjectId Obj = W.Reg.registerObject("obj" + std::to_string(K), Class);
+    LocOpSeq MineSeq{LocOp::add(K + 1)};
+    LocOpSeq TheirsSeq{LocOp::write(Value::of(K))};
+    Queries.emplace_back(TxLog{{Location(Obj), MineSeq[0]}},
+                         logOf({{Location(Obj), TheirsSeq[0]}}));
+    if (K % 2 == 0)
+      W.Cache->insert(buildPairQuery(Class, MineSeq, TheirsSeq, true).Key,
+                      Condition::never());
+  }
+  auto Run = [&](SequenceDetector &D, int Threads) {
+    std::vector<std::thread> Pool;
+    for (int T = 0; T != Threads; ++T)
+      Pool.emplace_back([&, T] {
+        for (int Rep = 0; Rep != 50; ++Rep)
+          for (size_t I = 0; I != Queries.size(); ++I) {
+            const auto &[Mine, Theirs] = Queries[(I + T) % Queries.size()];
+            EXPECT_TRUE(
+                D.detectConflicts(stm::Snapshot(), Mine, {Theirs}, W.Reg));
+          }
+      });
+    for (std::thread &Th : Pool)
+      Th.join();
+  };
+  SequenceDetector One(W.Cache), Four(W.Cache);
+  Run(One, 1);
+  Run(Four, 4);
+  EXPECT_EQ(One.uniqueQueries(), 6u);
+  EXPECT_EQ(One.uniqueMisses(), 3u);
+  EXPECT_EQ(Four.uniqueQueries(), One.uniqueQueries());
+  EXPECT_EQ(Four.uniqueMisses(), One.uniqueMisses());
+  EXPECT_EQ(Four.missedQueryKeys(), One.missedQueryKeys());
+  EXPECT_EQ(Four.stats().CacheHits.load(), 4 * One.stats().CacheHits.load());
+  EXPECT_EQ(Four.stats().CacheMisses.load(),
+            4 * One.stats().CacheMisses.load());
 }
 
 TEST(SequenceDetectorTest, MemoDistinguishesReadResults) {

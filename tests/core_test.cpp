@@ -166,6 +166,26 @@ TEST(JanusTest, CacheExportImportRoundTrip) {
   EXPECT_GT(B.detectorStats().CacheHits.load(), 0u);
 }
 
+TEST(JanusTest, CacheImportBetweenRunsReachesTheDetector) {
+  // The detector keeps the cache's answer per query across runs; a
+  // cache imported after a run must answer the next run's queries.
+  Janus A;
+  adt::TxCounter WorkA = adt::TxCounter::create(A.registry(), "work");
+  A.train(figure1Tasks(WorkA, 4));
+
+  Janus B;
+  adt::TxCounter Work = adt::TxCounter::create(B.registry(), "work");
+  B.runOutOfOrder(figure1Tasks(Work, 20));
+  EXPECT_EQ(B.detectorStats().CacheHits.load(), 0u);
+  EXPECT_GT(B.detectorStats().CacheMisses.load(), 0u);
+
+  ASSERT_TRUE(B.importCache(A.exportCache()));
+  const uint64_t Retries = B.runStats().Retries.load();
+  B.runOutOfOrder(figure1Tasks(Work, 20));
+  EXPECT_GT(B.detectorStats().CacheHits.load(), 0u);
+  EXPECT_EQ(B.runStats().Retries.load(), Retries);
+}
+
 TEST(JanusTest, OnlineFallbackAvoidsRetriesWithoutTraining) {
   JanusConfig Cfg;
   Cfg.Sequence.OnlineFallback = true;

@@ -178,7 +178,7 @@ TEST(PairCheckTest, DeterministicAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(TableVerifierTest, SeededUnsoundEntryConvicted) {
-  CommutativityCache Cache(1);
+  CommutativityCache Cache;
   CacheKey Bad;
   Bad.LocClass = "seeded.unsound";
   Bad.MineSig = "W(p1)";
@@ -213,7 +213,7 @@ TEST(TableVerifierTest, StaleReadConvictionModelConfirmed) {
   // seed above, the divergence flows through a read, so the protocol
   // model checker reproduces it: the admitted schedule's final state
   // differs from its commit-order replay.
-  CommutativityCache Cache(1);
+  CommutativityCache Cache;
   CacheKey Bad;
   Bad.LocClass = "seeded.stale";
   Bad.MineSig = "R, W(read#0+1)";
@@ -260,7 +260,7 @@ TEST(TableVerifierTest, TrainedCounterTableIsSound) {
 }
 
 TEST(TableVerifierTest, UnparseableSignatureIsUnsupportedNotCrash) {
-  CommutativityCache Cache(1);
+  CommutativityCache Cache;
   CacheKey Weird;
   Weird.LocClass = "hand.edited";
   Weird.MineSig = "FROB(p1)";

@@ -7,9 +7,10 @@
 #
 # Usage: tools/bench.sh [OUTDIR]
 #
-# Table/figure harnesses that measure simulated speedups (fig9, fig10,
-# ...) are deterministic; micro_commit and micro_detection measure wall
-# time and should be compared run-over-run on the same machine only.
+# Table/figure harnesses that measure simulated speedups (fig9, which
+# also prints Figure 10's retry ratios, fig11, ...) are deterministic;
+# micro_commit and micro_detection measure wall time and should be
+# compared run-over-run on the same machine only.
 set -eu
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -39,7 +40,7 @@ fi
 
 mkdir -p "$OUTDIR"
 
-for B in micro_commit fig9_speedup fig10_retries fig11_misses \
+for B in micro_commit fig9_speedup fig11_misses \
          table5_patterns table6_inputs ablation_fallback \
          ablation_reclaim micro_detection; do
   if [ ! -x "$BENCH_DIR/$B" ]; then

@@ -20,7 +20,8 @@
 #      spec tables (DESIGN.md §14.3); a deliberately seeded unsound
 #      entry must be convicted (nonzero exit) to prove the verifier
 #      has teeth, and so must a seeded unsound spec table
-#      (--seed-unsound-spec);
+#      (--seed-unsound-spec); `janus run` must refuse (nonzero exit) a
+#      training artifact it cannot write;
 #   7. observability: one traced workload per engine; the emitted
 #      Chrome trace must satisfy tools/check_trace.py (known event
 #      types only, well-formed spans), and the --json report must be
@@ -50,7 +51,11 @@
 #      has teeth.
 #
 # Usage: tools/ci.sh [JOBS]   (JOBS defaults to nproc)
-set -eu
+#
+# pipefail: the stages pipe commands through tail, and the command's
+# own exit code (audit 3, verify 4, a failed soak) must still fail the
+# stage.
+set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="${1:-$(nproc)}"
@@ -142,6 +147,13 @@ if "$REPO_ROOT/build/tools/janus" verify --workload HashChurn --rounds 1 \
   exit 1
 fi
 echo "spec conviction probe: convicted as expected."
+echo "-- unwritable --cache-out probe (janus run must exit nonzero)"
+if "$REPO_ROOT/build/tools/janus" run --workload PMD --engine sim \
+     --cache-out /nonexistent/dir/t.txt >/dev/null 2>&1; then
+  echo "ci.sh: janus run exited 0 with an unwritable --cache-out" >&2
+  exit 1
+fi
+echo "cache-out probe: refused as expected."
 
 echo "== [7/10] observability: traced runs + trace validation =="
 for E in sim threads; do

@@ -623,6 +623,25 @@ bool exportTrace(Janus &J, const CliOptions &Opts,
   return true;
 }
 
+/// Writes \p J's training artifact (cache + relaxation specs) to
+/// --cache-out, when one is given. \returns false, with a message, when
+/// the file cannot be written.
+bool saveTrainingArtifact(const Janus &J, const CliOptions &Opts) {
+  if (Opts.CacheOut.empty())
+    return true;
+  std::ofstream Out(Opts.CacheOut, std::ios::trunc);
+  if (Out)
+    Out << J.exportTrainingArtifact();
+  if (!Out) {
+    std::fprintf(stderr, "janus: error: cannot write '%s'\n",
+                 Opts.CacheOut.c_str());
+    return false;
+  }
+  if (!Opts.Json)
+    std::printf("training artifact saved to %s\n", Opts.CacheOut.c_str());
+  return true;
+}
+
 /// Runs \p Tasks on \p J in \p W's order mode. The real-thread engine
 /// executes a run's tasks once, so the speedup's denominator is timed
 /// here first, with the façade's sequential baseline; the simulator
@@ -839,17 +858,8 @@ int cmdTrain(const CliOptions &Opts) {
                 "as unsound\n",
                 (unsigned long long)TS.VerifyChecks,
                 (unsigned long long)TS.VerifyRejected);
-  if (!Opts.CacheOut.empty()) {
-    std::ofstream Out(Opts.CacheOut, std::ios::trunc);
-    if (!Out) {
-      std::fprintf(stderr, "janus: error: cannot write '%s'\n",
-                   Opts.CacheOut.c_str());
-      return 1;
-    }
-    // Persist the full training artifact (cache + relaxation specs).
-    Out << J.exportTrainingArtifact();
-    std::printf("training artifact saved to %s\n", Opts.CacheOut.c_str());
-  }
+  if (!saveTrainingArtifact(J, Opts))
+    return 1;
   // Training emits its own spans (mining, condition computation,
   // abstraction, verify gate) when observability is on; --trace-out
   // makes the offline phase Perfetto-loadable like any run.
@@ -1021,15 +1031,8 @@ int cmdRun(const CliOptions &Opts) {
     if (!emitJsonReport(Report, Opts))
       return 1;
   }
-  if (!Opts.CacheOut.empty()) {
-    std::ofstream Out(Opts.CacheOut, std::ios::trunc);
-    if (Out) {
-      Out << J.exportTrainingArtifact();
-      if (!Opts.Json)
-        std::printf("training artifact saved to %s\n",
-                    Opts.CacheOut.c_str());
-    }
-  }
+  if (!saveTrainingArtifact(J, Opts))
+    return 1;
   if (Interrupted)
     return 130; // Conventional SIGINT exit, observability flushed.
   return Verified ? 0 : 2;
