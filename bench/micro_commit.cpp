@@ -184,13 +184,12 @@ std::unique_ptr<ConflictDetector> makeDetector(const std::string &Kind) {
       std::make_shared<conflict::CommutativityCache>(), Cfg);
 }
 
-/// The real-thread engine at \p Shards shards, reclamation on.
+/// The real-thread engine at \p Shards shards.
 ShardedConfig engineConfig(unsigned Threads, unsigned Shards, bool Ordered) {
   ShardedConfig Cfg;
   Cfg.NumThreads = Threads;
   Cfg.NumShards = Shards;
   Cfg.Ordered = Ordered;
-  Cfg.ReclaimLogs = true;
   return Cfg;
 }
 

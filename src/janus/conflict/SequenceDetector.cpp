@@ -230,8 +230,7 @@ static bool seqWrites(const LocOpSeq &Seq) {
 bool SequenceDetector::locationConflicts(const Value &EntryVal,
                                          const LocOpSeq &Mine,
                                          const LocOpSeq &Theirs,
-                                         const ObjectInfo &Info,
-                                         bool Degrade) {
+                                         const ObjectInfo &Info) {
   ChecksSpec Checks = checksFor(Info.Relax);
 
   // Tier 1: the per-ADT spec table (conflict/SpecTable.h). A hit is an
@@ -269,18 +268,6 @@ bool SequenceDetector::locationConflicts(const Value &EntryVal,
       (!Checks.SameReadA || readsCoveredByOwnWrites(Mine)) &&
       (!Checks.SameReadB || readsCoveredByOwnWrites(Theirs)))
     return false;
-
-  // Adaptive degradation: the budget ran out, so skip symbolization,
-  // abstraction, cache consultation and online evaluation and answer
-  // with the (sound, conservative) write-set test. The paper's
-  // validity requirement only needs under-approximation of
-  // commutativity, so over-reporting conflicts here merely costs a
-  // retry, never correctness.
-  if (Degrade) {
-    ++Stats.DegradedQueries;
-    ++Stats.WriteSetChecks;
-    return seqWrites(Mine) || seqWrites(Theirs);
-  }
 
   std::shared_ptr<const InternedAbs> MineI = abstracted(Mine);
   std::shared_ptr<const InternedAbs> TheirsI = abstracted(Theirs);
@@ -360,10 +347,7 @@ bool SequenceDetector::detectConflicts(const stm::Snapshot &Entry,
     ++Stats.PairQueries;
     const ObjectInfo &Info = Reg.info(Loc.Obj);
     Value EntryVal = stm::snapshotValue(Entry, Loc);
-    const bool Degrade =
-        Config.OnlineOpBudget != 0 &&
-        MySeq.size() + It->second.size() > Config.OnlineOpBudget;
-    if (locationConflicts(EntryVal, MySeq, It->second, Info, Degrade)) {
+    if (locationConflicts(EntryVal, MySeq, It->second, Info)) {
       ++Stats.ConflictsFound;
       return true;
     }

@@ -101,11 +101,6 @@ struct SequenceDetectorConfig {
   /// harnesses (Figure 11) see the full query stream; the CLI defaults
   /// to On.
   SpecMode Specs = SpecMode::Off;
-  /// Adaptive degradation: a per-location query whose two sequences
-  /// together exceed this many operations degrades to the write-set
-  /// test (the sequence machinery is superlinear in sequence length).
-  /// Deterministic. 0 = unlimited.
-  uint64_t OnlineOpBudget = 0;
 };
 
 /// The JANUS detector. Thread-safe; shared by all transactions of a
@@ -152,12 +147,10 @@ private:
     std::optional<bool> Commutes;
   };
 
-  /// With \p Degrade set, the precise sequence machinery is skipped
-  /// and the location is answered by the write-set test.
   bool locationConflicts(const Value &EntryVal,
                          const symbolic::LocOpSeq &Mine,
                          const symbolic::LocOpSeq &Theirs,
-                         const ObjectInfo &Info, bool Degrade);
+                         const ObjectInfo &Info);
 
   /// Memoized + interned abstractSequence(symbolize(Seq),
   /// UseAbstraction) with its pre-rendered signature. Per-location

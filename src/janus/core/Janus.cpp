@@ -112,25 +112,29 @@ bool Janus::importTrainingArtifact(const std::string &Text) {
   std::string Line;
   if (!std::getline(Stream, Line) || Line != "janus-training-artifact v1")
     return false;
-  while (std::getline(Stream, Line)) {
-    if (Line == "endrelax")
-      break;
-    if (Line.rfind("relax ", 0) != 0 || Line.size() < 10)
+  // Parse the whole artifact before applying a relaxation: a rejected
+  // one must not let an object skip checks training never waived.
+  auto IsFlag = [](char C) { return C == '0' || C == '1'; };
+  std::vector<std::pair<std::string, RelaxationSpec>> Relax;
+  while (std::getline(Stream, Line) && Line != "endrelax") {
+    // "relax R W NAME": R and W are 0 or 1, NAME is non-empty.
+    if (Line.size() < 11 || Line.compare(0, 6, "relax ") != 0 ||
+        !IsFlag(Line[6]) || Line[7] != ' ' || !IsFlag(Line[8]) ||
+        Line[9] != ' ')
       return false;
-    bool Raw = Line[6] == '1';
-    bool Waw = Line[8] == '1';
-    std::string Name = Line.substr(10);
-    for (uint32_t Id = 0; Id != Reg.size(); ++Id) {
-      if (Reg.info(ObjectId{Id}).Name == Name)
-        Reg.setRelaxation(ObjectId{Id}, RelaxationSpec{Raw, Waw});
-    }
+    Relax.emplace_back(Line.substr(10),
+                       RelaxationSpec{Line[6] == '1', Line[8] == '1'});
   }
   // The remainder is the cache.
-  std::string Rest;
   std::ostringstream Buffer;
   Buffer << Stream.rdbuf();
-  Rest = Buffer.str();
-  return Cache->deserializeInto(Rest);
+  if (!Cache->deserializeInto(Buffer.str()))
+    return false;
+  for (const auto &[Name, Spec] : Relax)
+    for (uint32_t Id = 0; Id != Reg.size(); ++Id)
+      if (Reg.info(ObjectId{Id}).Name == Name)
+        Reg.setRelaxation(ObjectId{Id}, Spec);
+  return true;
 }
 
 const stm::Snapshot &Janus::sharedState() const {

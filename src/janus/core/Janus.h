@@ -259,7 +259,9 @@ public:
 
   /// Loads an artifact produced by exportTrainingArtifact. Relaxations
   /// are applied to same-named registered objects (unknown names are
-  /// ignored). \returns false on parse failure.
+  /// ignored), and only once the whole artifact has parsed.
+  /// \returns false on parse failure, with no relaxation applied (the
+  /// cache is left empty when its part fails to parse).
   bool importTrainingArtifact(const std::string &Text);
 
 private:

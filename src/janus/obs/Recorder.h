@@ -7,10 +7,9 @@
 /// the recorder answers a different question — "what exactly happened
 /// just before that anomaly?" — and so has different constraints:
 ///
-///  - **Complete by default.** Replay (`janus replay`) needs *every*
-///    attempt's begin/abort/commit, so the default sampling period is
-///    1 and the record is a fixed 40 bytes. SampleEvery > 1 degrades
-///    the recorder to an inspection stream (replay refuses it).
+///  - **Complete.** Replay (`janus replay`) needs *every* attempt's
+///    begin/abort/commit, so every task is recorded, unsampled, and the
+///    record is a fixed 40 bytes.
 ///  - **Bounded.** Each lane owns a fixed-capacity ring that wraps by
 ///    overwriting its oldest records (spans instead *drop* new ones);
 ///    for a flight recorder the recent past is the valuable part.
@@ -89,9 +88,6 @@ struct RecEvent {
 /// Recorder tuning.
 struct RecorderConfig {
   bool Enabled = false;
-  /// Sampling period; > 1 makes the stream inspection-only (replay
-  /// requires every event).
-  uint32_t SampleEvery = 1;
   /// Per-lane ring capacity in events (40 bytes each).
   uint32_t PerLaneCap = 1u << 16;
   /// Anomaly snapshots keep only the last this-many microseconds;
@@ -115,12 +111,6 @@ public:
   bool enabled() const { return Config.Enabled; }
   unsigned lanes() const { return static_cast<unsigned>(Lanes.size()); }
   const RecorderConfig &config() const { return Config; }
-
-  /// Same task-keyed sampling rule as Observer::sampled.
-  bool sampled(uint32_t Tid) const {
-    const uint32_t N = Config.SampleEvery;
-    return N <= 1 || Tid % N == 1 % N;
-  }
 
   uint64_t nowUs() const {
     return static_cast<uint64_t>(
@@ -229,6 +219,8 @@ struct RecMeta {
   uint64_t Written = 0;    ///< Recorder totals at dump time.
   uint64_t Overwritten = 0;
   uint32_t NumLanes = 0;
+  /// Always 1 in a file this program writes (the recorder samples
+  /// nothing); replay refuses a file that claims more.
   uint32_t SampleEvery = 1;
 };
 

@@ -192,8 +192,7 @@ public:
     const auto Code = static_cast<uint32_t>(E.Reason);
     if (E.Reason != Abort::None && Obs && Obs->sampled(E.Tid))
       Obs->instant(E.Lane, "abort", E.Tid, E.Attempt, Now(), abortNote(Code));
-    const bool RecOn = Rec && Rec->sampled(E.Tid);
-    if (!RecOn && !Trace)
+    if (!Rec && !Trace)
       return;
     uint64_t Begin = E.Mask ? ~uint64_t{0} : E.Begin;
     for (uint64_t M = E.Mask; M; M &= M - 1)
@@ -202,7 +201,7 @@ public:
     // Only commits and conflicts are decided at a later clock.
     const uint64_t End =
         Committed || E.Reason == Abort::Conflict ? E.Clock : Begin;
-    if (RecOn) {
+    if (Rec) {
       if (E.Mode == CommitMode::Speculative) {
         Rec->record(E.Lane, obs::RecKind::Begin, E.Tid, E.Attempt, Begin);
         for (uint64_t M = E.Mask; M; M &= M - 1) {
@@ -245,7 +244,6 @@ public:
             const std::string &Msg,
             std::vector<resilience::TaskFailure> &Failures, uint64_t Clock) {
     using resilience::CancelReason;
-    const bool RecOn = Rec && Rec->sampled(Tid);
     if (Why == Abort::Cancelled) {
       CancelReason CR = Cancel ? Cancel->status(Tid) : CancelReason::None;
       if (CR == CancelReason::None)
@@ -257,7 +255,7 @@ public:
           CR == CancelReason::Shutdown
               ? resilience::TaskFailure::Kind::Shutdown
               : resilience::TaskFailure::Kind::Deadline});
-      if (RecOn)
+      if (Rec)
         Rec->record(Lane, obs::RecKind::Cancel, Tid, Attempt, Clock,
                     static_cast<uint32_t>(CR));
       return {Step::Placeholder};
@@ -275,7 +273,7 @@ public:
     if (D.Act == Action::Retry)
       return {Step::Retry, D.BackoffMicros};
     ++Stats.SerialFallbacks;
-    if (RecOn)
+    if (Rec)
       Rec->record(Lane, obs::RecKind::Escalation, Tid, Attempt, Clock);
     return {Step::Serial};
   }

@@ -60,15 +60,10 @@ ShardedRuntime::ShardedRuntime(const ObjectRegistry &Reg,
       AllShards(~uint64_t{0} >> (64 - NumShards)), Shards(NumShards),
       Workers(std::max(1u, Config.NumThreads)) {
   JANUS_ASSERT(Config.NumThreads >= 1, "need at least one thread");
-  const uint32_t SegRecords =
-      Config.HistorySegmentRecords ? Config.HistorySegmentRecords : 1;
-  for (uint32_t S = 0; S != NumShards; ++S) {
-    Shard &Sh = Shards[S];
-    // Per-shard history is keyed by the shard's dense version space:
-    // version 0 is "nothing committed here yet".
-    Sh.History = std::make_unique<HistoryLog>(/*InitialTime=*/0, SegRecords);
+  for (Shard &Sh : Shards) {
+    // Version 0 is "nothing committed here yet".
     Sh.Oldest = new ShardState{/*GlobalTime=*/1, /*Version=*/0, Snapshot{},
-                               Sh.History->tail(), nullptr};
+                               nullptr, nullptr};
     Sh.Published.store(Sh.Oldest, std::memory_order_release);
   }
   for (WorkerSlot &W : Workers) {
@@ -164,7 +159,6 @@ void ShardedRuntime::trim() {
   for (uint32_t S = 0; S != NumShards; ++S) {
     std::lock_guard<std::mutex> Guard(Shards[S].CommitMutex);
     recycleShardStates(S, Shards[S].Published.load(std::memory_order_relaxed));
-    Shards[S].History->reclaimUpTo(Shards[S].Oldest->Version);
   }
   for (WorkerSlot &W : Workers)
     W.CommitLog.clear();
@@ -175,7 +169,7 @@ size_t ShardedRuntime::historySize() const {
   for (uint32_t I = 0; I != NumShards; ++I) {
     std::lock_guard<std::mutex> Guard(Shards[I].CommitMutex);
     const ShardState *P = Shards[I].Published.load(std::memory_order_relaxed);
-    Total += static_cast<size_t>(P->Version - Shards[I].History->headTime());
+    Total += static_cast<size_t>(P->Version - Shards[I].Oldest->Version);
   }
   return Total;
 }
@@ -219,8 +213,8 @@ void ShardedRuntime::acquireShard(uint32_t S, WorkerSlot &Worker) {
   // The rest of the scratch is clean: releaseAttempt reset it.
   AttemptShard &A = Worker.Attempt[S];
   A.Now = P;
-  A.EntryVersion = A.Detected = P->Version;
-  A.Window.emplace(P->HistoryTail, P->Version);
+  A.Detected = P;
+  A.EntryVersion = P->Version;
 }
 
 void ShardedRuntime::releaseAttempt(WorkerSlot &Worker, uint64_t Mask) {
@@ -279,17 +273,12 @@ void ShardedRuntime::publish(uint32_t S, ShardState *Cur, Snapshot State,
   Shard &Sh = Shards[S];
   ShardState *Next = allocState(Sh);
   Next->State = std::move(State);
+  Next->Log = std::move(Log);
   Next->Newer = nullptr;
-  if (Committer) {
-    Next->Version = Cur->Version + 1;
-    Sh.History->append(Next->Version, std::move(Log));
-    Next->GlobalTime = CommitTime;
-    Next->HistoryTail = Sh.History->tail();
-  } else {
-    Next->Version = Cur->Version;
-    Next->GlobalTime = Cur->GlobalTime;
-    Next->HistoryTail = Cur->HistoryTail;
-  }
+  Next->Version = Committer ? Cur->Version + 1 : Cur->Version;
+  Next->GlobalTime = Committer ? CommitTime : Cur->GlobalTime;
+  // The link is written before Next is published: a walk that loads
+  // Next (or a newer state) from Published reads it race-free.
   Cur->Newer = Next;
   Sh.Published.store(Next, std::memory_order_seq_cst);
   // A committer drops its own hazard before recycling, so its entry
@@ -411,19 +400,15 @@ void ShardedRuntime::recycleShardStates(uint32_t S, ShardState *Cur) {
     if (Hazarded)
       break;
     Sh.Oldest = Candidate->Newer;
-    // Drop the slice and segment references now; reading the cleared
-    // hazard above happens-after the owner's last use, so this write
-    // cannot race it.
+    // Drop the slice and the log now: every window that could still
+    // collect the log starts at a hazarded state older than this one.
+    // Reading the cleared hazard above happens-after the owner's last
+    // use, so these writes cannot race it.
     Candidate->State = Snapshot{};
-    Candidate->HistoryTail.reset();
+    Candidate->Log.reset();
     Candidate->Newer = nullptr;
     Sh.Pool.push_back(Candidate);
   }
-  // The oldest surviving state bounds every in-flight window: a
-  // reader acquired at version >= Oldest->Version and queries only
-  // records above its own acquisition version.
-  if (Config.ReclaimLogs)
-    Sh.History->reclaimUpTo(Sh.Oldest->Version);
 }
 
 Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
@@ -508,15 +493,28 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
       // every newer state of the shard's chain.
       ShardState *P = Shards[S].Published.load(std::memory_order_acquire);
       A.Now = P;
-      const uint64_t NowVer = P->Version;
-      if (NowVer == A.Detected)
+      if (P == A.Detected)
         continue; // No new commits in this shard since the last round.
       const double DetectTs = Sampled ? O->nowUs() : 0.0;
-      A.Window->collectUpTo(NowVer, A.OpsC);
+      // Extend the window from the cursor to P along the chain, in
+      // commit order. Every link read belongs to a state older than P,
+      // written before P's publication, and no state from the entry on
+      // is recycled while the entry hazard holds; P's own link (still
+      // being written by the next committer) is never read.
+      for (const ShardState *At = A.Detected; At != P;) {
+        JANUS_ASSERT(At->Version < P->Version,
+                     "history walk passed the published state");
+        const ShardState *Next = At->Newer;
+        JANUS_ASSERT(Next != nullptr && Next->Version == At->Version + 1,
+                     "committed history not dense: a state in a live "
+                     "window was recycled");
+        A.OpsC.push_back(Next->Log);
+        At = Next;
+      }
       ++Stats.ConflictChecks;
       const bool C =
           Detector.detectConflicts(Worker.Views[S].Entry, *A.Log, A.OpsC, Reg);
-      A.Detected = NowVer;
+      A.Detected = P;
       if (Sampled) {
         double Dur = O->nowUs() - DetectTs;
         O->detectLatency().record(Dur);

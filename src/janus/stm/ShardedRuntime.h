@@ -18,31 +18,32 @@
 ///      directly to its successor's condition variable, so a commit
 ///      wakes one thread, not every waiter.
 ///   4. Loop, per touched shard: read `now` from the published state;
-///      extend the transaction's borrowed view of the shard's
-///      committed-history window to (begin, now] (lock-free segment
-///      walk, incremental across rounds); DETECTCONFLICTS — on
-///      conflict, abort (retry from the start). Otherwise replay the log
-///      onto the published slice *outside* any lock, then COMMIT:
-///      under the shard mutexes, re-validate that every published
-///      state is still the one the replay started from, append the
-///      log to the histories, and swap in the new slices. The
-///      exclusive section is a clock bump plus pointer stores.
+///      extend the transaction's committed-history window to
+///      (begin, now] by walking the shard's state chain from the last
+///      state it has seen (lock-free, incremental across rounds);
+///      DETECTCONFLICTS — on conflict, abort (retry from the start).
+///      Otherwise replay the log onto the published slice *outside* any
+///      lock, then COMMIT: under the shard mutexes, re-validate that
+///      every published state is still the one the replay started from,
+///      and swap in new states that carry the new slices and the log.
+///      The exclusive section is a clock bump plus pointer stores.
 ///
 /// The object space is partitioned into N location-keyed shards (power
 /// of two, routed by `shardIndexOf(Location)`), each owning its own
 ///
-///  - published snapshot slice (the shard's subset of the store),
-///  - append-only `HistoryLog` segment chain, keyed by a *dense
-///    per-shard version* (one bump per commit that touched the shard),
+///  - chain of published states, one per commit that touched the shard,
+///    each carrying the shard's snapshot slice, a *dense per-shard
+///    version* (one bump per such commit) and that commit's log: the
+///    chain is the shard's committed history,
 ///  - commit mutex (the shard's commit point).
 ///
 /// One shard (the JanusConfig default) is the single commit point:
-/// every commit publishes through one pointer and one history log.
+/// every commit publishes through one pointer.
 /// More shards remove that bottleneck for disjoint footprints.
 /// Detection runs per acquired shard against the shard's own history
 /// window — sound because conflict detection decomposes per location
-/// (paper §5.3), and a location's window records live exactly in its
-/// shard's log.
+/// (paper §5.3), and a location's committed operations live exactly in
+/// its shard's chain.
 ///
 /// Commit:
 ///  - **Empty** transactions (no shared access) touch no shard at all:
@@ -67,10 +68,10 @@
 /// shard states they begin from in per-(worker, shard) hazard slots
 /// (validated store-then-recheck publication, all seq_cst); a
 /// committer recycles through a per-shard pool the chain prefix no
-/// hazard references, and (with ReclaimLogs, the engineering
-/// improvement of §7.2) the history records below it; trim() drops
-/// the whole history of a quiesced engine. See ShardedRuntime.cpp for
-/// the Dekker-style argument.
+/// hazard references, and with each state the log it carries: no live
+/// transaction can still query it (the log reclamation of §7.2). trim()
+/// recycles all but the published state of a quiesced engine. See
+/// ShardedRuntime.cpp for the Dekker-style argument.
 ///
 /// Lock hierarchy: OrderMutex and the shard CommitMutexes never nest.
 /// waitForTurn blocks under OrderMutex while the predecessor needs its
@@ -102,11 +103,9 @@
 
 #include "janus/stm/Attempt.h"
 #include "janus/stm/Detector.h"
-#include "janus/stm/HistoryLog.h"
 
 #include <array>
 #include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -128,14 +127,8 @@ struct ShardedConfig {
   /// In-order execution flag: commit in task order (Figure 7
   /// `ordered`).
   bool Ordered = false;
-  /// Reclaim committed logs no active transaction can still query
-  /// (the engineering improvement discussed in §7.2).
-  bool ReclaimLogs = false;
   /// Record an AuditTrace of every attempt for hindsight auditing.
   bool RecordTrace = false;
-  /// Records per committed-history segment (per shard) — the
-  /// granularity at which reclamation returns memory.
-  uint32_t HistorySegmentRecords = 64;
   /// Contention-management policy.
   resilience::ResilienceConfig Resilience = {};
   /// Deterministic fault-injection plan (empty = no faults).
@@ -192,11 +185,11 @@ public:
                     const resilience::CancellationTable *Cancel,
                     resilience::PressureBoard *Board);
 
-  /// Drops what the runs so far retain for inspection: every committed
-  /// history record up to each shard's published version, and every
-  /// commitOrder() entry. Call between runs only (a quiesced engine:
-  /// no transaction can query a window that starts before now). A
-  /// long-lived caller trims after each run to keep memory bounded.
+  /// Drops what the runs so far retain: every shard state (and its
+  /// log) but the published one, and every commitOrder() entry. Call
+  /// between runs only (a quiesced engine: no transaction can query a
+  /// window that starts before now). A long-lived caller trims after
+  /// each run to keep the commit order bounded.
   void trim();
 
   /// \returns the shared state after the last run, merged across
@@ -210,8 +203,8 @@ public:
   /// The effective (clamped, power-of-two) shard count.
   uint32_t numShards() const { return NumShards; }
 
-  /// Committed-history records currently retained, summed over shards
-  /// (for the log-reclamation ablation).
+  /// Committed logs a live attempt could still collect, summed over
+  /// shards: each shard's states after its oldest retained one.
   size_t historySize() const;
 
   /// Task ids (1-based) in global commit order over every run since
@@ -236,19 +229,23 @@ public:
 private:
   /// One shard's atomically swapped image: the global clock stamp of
   /// the commit that published it, the shard's dense version, the
-  /// shard's snapshot slice, and the history segment a transaction
-  /// acquiring here starts its conflict window from. Immutable once
-  /// published; chained oldest→newest for epoch recycling.
+  /// shard's snapshot slice, and that commit's log (the shard's share;
+  /// null for a state no commit published). Immutable once published
+  /// but for Newer; chained oldest→newest, the chain is the shard's
+  /// committed history and its recycling order.
   struct ShardState {
     uint64_t GlobalTime = 0;
     uint64_t Version = 0;
     Snapshot State;
-    HistoryLog::SegmentRef HistoryTail;
-    ShardState *Newer = nullptr; ///< Written under the shard's mutex.
+    TxLogRef Log;
+    /// Written under the shard's mutex, before the newer state is
+    /// published; read lock-free only by a window walk (runTask) that
+    /// loaded a state newer than this one.
+    ShardState *Newer = nullptr;
   };
 
   /// One location-keyed shard: its commit point, published state
-  /// chain, history log, and recycled-state pool.
+  /// chain, and recycled-state pool.
   struct alignas(CacheLineSize) Shard {
     /// Mutable: sharedState()/historySize() are logically const but
     /// must hold the commit points for a consistent cut.
@@ -257,10 +254,6 @@ private:
     /// Oldest state still allocated; chain head for epoch recycling.
     /// Mutated only under CommitMutex (and the destructor).
     ShardState *Oldest = nullptr;
-    /// Per-shard committed history, keyed by the shard's dense
-    /// Version (not the sparse global clock — HistoryLog requires
-    /// dense keys).
-    std::unique_ptr<HistoryLog> History;
     /// Retired ShardStates for reuse; commit-path allocations are
     /// pool hits in steady state. Guarded by CommitMutex.
     std::vector<ShardState *> Pool;
@@ -268,7 +261,7 @@ private:
 
   /// Per-(worker, shard) scratch carried across the validation rounds
   /// of one attempt: the acquired entry state, the latest validated
-  /// state, the incremental history window, and the shard's share of
+  /// state, the collected history window, and the shard's share of
   /// the transaction's log.
   struct AttemptShard {
     /// Latest state this round runs against; the entry state's hazard
@@ -279,15 +272,16 @@ private:
     /// tracked by version, never by pointer: pool recycling can reuse
     /// an address, but a shard's versions are never reused.
     uint64_t EntryVersion = 0;
-    std::optional<HistoryLog::Reader> Window;
     std::vector<TxLogRef> OpsC; ///< Collected shard window.
     /// The log as this shard detects, replays and records it: the whole
     /// log of a single-shard attempt, else its projection (projectLog).
     TxLogRef Log;
     TxLog Projection; ///< Builds Log; kept for its capacity.
-    /// Version up to which detection already ran (skip re-detection
-    /// when a validation round saw no new commits in this shard).
-    uint64_t Detected = 0;
+    /// The walk's cursor: the state up to which OpsC is collected and
+    /// detection already ran (a round that loads it again saw no new
+    /// commits in this shard). The entry state or newer, so the entry
+    /// hazard keeps it allocated.
+    const ShardState *Detected = nullptr;
     Snapshot Replayed;        ///< Log applied onto version ReplayedVersion.
     uint64_t ReplayedVersion = 0; ///< 0 = Replayed not yet valid.
 
@@ -297,11 +291,10 @@ private:
     void reset() {
       Now = nullptr;
       EntryVersion = 0;
-      Window.reset();
       OpsC.clear();
       Log.reset();
       Projection.clear();
-      Detected = 0;
+      Detected = nullptr;
       Replayed = Snapshot{};
       ReplayedVersion = 0;
     }
@@ -362,7 +355,7 @@ private:
 
   /// Lazy shard acquisition (ShardBackend::acquire): publishes the
   /// hazard, copies the shard slice into the worker's view, and
-  /// positions the shard's history window.
+  /// starts the shard's history window at the entry state.
   void acquireShard(uint32_t S, WorkerSlot &Worker);
 
   /// Clears hazards and resets views/attempt scratch for every shard
@@ -372,7 +365,8 @@ private:
   /// Gives every shard in \p Mask its share of \p Log (AttemptShard::
   /// Log): all of it when it is the only shard, else its projection —
   /// exactly that shard's operations, in program order, which is what
-  /// its history and other transactions' detection windows carry.
+  /// its published state and other transactions' detection windows
+  /// carry.
   void projectLog(const TxLogRef &Log, uint64_t Mask, WorkerSlot &Worker);
 
   /// The lock set: takes the commit mutexes of the shards in \p Mask in
@@ -387,10 +381,10 @@ private:
 
   /// Publishes \p State as shard \p S's next state after \p Cur, its
   /// published state; the caller holds the shard's mutex. A commit
-  /// passes its \p Committer, stamp and log: the log is appended at the
-  /// next shard version, and the committer's own hazard is dropped
-  /// before recycling. setInitialState passes none and keeps \p Cur's
-  /// version, stamp and history tail.
+  /// passes its \p Committer, stamp and log: the new state carries the
+  /// log at the next shard version, and the committer's own hazard is
+  /// dropped before recycling. setInitialState passes none and keeps
+  /// \p Cur's version and stamp, with no log.
   void publish(uint32_t S, ShardState *Cur, Snapshot State,
                WorkerSlot *Committer = nullptr, uint64_t CommitTime = 0,
                TxLogRef Log = nullptr);
@@ -418,10 +412,9 @@ private:
   void notifySuccessor(uint64_t CommitTime);
 
   /// Recycles the prefix of shard \p S's state chain, up to its
-  /// published state \p Cur, that no worker hazard references, then (if
-  /// configured) reclaims history records below the oldest surviving
-  /// state's version. Caller holds the shard's CommitMutex, *after*
-  /// publishing \p Cur.
+  /// published state \p Cur, that no worker hazard references, with
+  /// the logs those states carry. Caller holds the shard's CommitMutex,
+  /// *after* publishing \p Cur.
   void recycleShardStates(uint32_t S, ShardState *Cur);
 
   /// Pops a pooled ShardState (or allocates). Caller holds the

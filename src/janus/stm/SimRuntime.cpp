@@ -188,8 +188,8 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
       size_t Examined = Att.Log->size();
       std::vector<TxLogRef> Window;
       for (size_t I = Att.BeginSeq; I != History.size(); ++I) {
-        Window.push_back(History[I].Log);
-        Examined += History[I].Log->size();
+        Window.push_back(History[I]);
+        Examined += History[I]->size();
       }
       double DetectCost =
           Config.Costs.DetectPerOp * static_cast<double>(Examined);
@@ -245,7 +245,7 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
     CommitOrder.push_back(Tid);
     for (const LogEntry &E : *Att.Log)
       Shared = applyToSnapshot(Shared, E.Loc, E.Op);
-    History.push_back(Committed{CommitSeq, Att.Log});
+    History.push_back(Att.Log);
     Life->report(AttemptEnd{Tid, CT.AttemptNo, Core, Abort::None, CT.Mode,
                             Begin, CommitSeq, &Att.Log, &Att.Entry},
                  Trace.Events, [] { return 0.0; });
@@ -314,11 +314,10 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
   }
 
   // Persistent snapshots at every commit clock: StateAt[k] is the
-  // global state after commit k (StateAt[0] = initial). LogAt[k] is
-  // commit k's replayed log. Both are what entry reconstruction below
-  // reads; Snapshot copies are O(1), so keeping them all is cheap.
+  // global state after commit k (StateAt[0] = initial). With History's
+  // replayed logs, they are what entry reconstruction below reads;
+  // Snapshot copies are O(1), so keeping them all is cheap.
   std::vector<Snapshot> StateAt{Shared};
-  std::vector<TxLogRef> LogAt{nullptr};
 
   obs::Observer *const O = obs::janusObs(Config.Obs);
   double VirtualNow = 0.0;
@@ -362,7 +361,7 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     };
     Snapshot E = StateAt[MinStamp];
     for (uint64_t K = MinStamp + 1; K <= MaxStamp; ++K)
-      for (const LogEntry &LE : *LogAt[K])
+      for (const LogEntry &LE : *History[K - 1])
         if (StampOf(shardIndexOf(LE.Loc, Sched.Shards)) >= K)
           E = applyToSnapshot(E, LE.Loc, LE.Op);
     return E;
@@ -454,9 +453,8 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     for (const LogEntry &LE : *Log)
       Next = applyToSnapshot(Next, LE.Loc, LE.Op);
     StateAt.push_back(Next);
-    LogAt.push_back(Log);
     Shared = std::move(Next);
-    History.push_back(Committed{CommitSeq, Log});
+    History.push_back(Log);
     ++Stats.Commits;
     Life->report(AttemptEnd{S.Tid, S.Attempt, 0, Abort::None, Mode, S.Begin,
                             CommitSeq, &Log, &Entry, nullptr, 0,

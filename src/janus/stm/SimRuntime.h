@@ -151,11 +151,6 @@ public:
   const AuditTrace &trace() const { return Trace; }
 
 private:
-  struct Committed {
-    uint64_t Seq; ///< Commit sequence number.
-    TxLogRef Log;
-  };
-
   /// Executes one attempt of task \p Idx against the current global
   /// state. \returns the log and the attempt's execution cost. A body
   /// that throws (genuinely or by fault injection at coordinate
@@ -183,7 +178,8 @@ private:
   SimConfig Config;
 
   Snapshot Shared;
-  std::vector<Committed> History;
+  /// The last run's committed logs: History[k - 1] is commit k's.
+  std::vector<TxLogRef> History;
   uint64_t CommitSeq = 0;
   std::vector<uint32_t> CommitOrder;
   std::optional<Lifecycle> Life; ///< The run() in progress.

@@ -102,7 +102,6 @@ struct DetectorStats {
   StripedCounter OnlineChecks;   ///< Answered by online evaluation.
   StripedCounter WriteSetChecks; ///< Fell back to write-set.
   StripedCounter ConflictsFound;
-  StripedCounter DegradedQueries; ///< Budget-exhausted degradations.
   /// Signature-memo hits that reused an interned abstraction (and its
   /// pre-rendered signature), skipping re-canonicalization.
   StripedCounter SignatureInternHits;
@@ -116,7 +115,6 @@ struct DetectorStats {
     OnlineChecks.reset();
     WriteSetChecks.reset();
     ConflictsFound.reset();
-    DegradedQueries.reset();
     SignatureInternHits.reset();
   }
 };

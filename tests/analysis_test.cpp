@@ -348,7 +348,8 @@ TEST(AuditorTest, ThreadedTraceAuditsClean) {
   ObjectId Obj = Reg.registerObject("x");
   WriteSetDetector D;
   ShardedRuntime R(Reg, D,
-                   ShardedConfig{4, 1, false, false, /*RecordTrace=*/true});
+                   ShardedConfig{.NumThreads = 4, .NumShards = 1,
+                                 .RecordTrace = true});
   std::vector<TaskFn> Tasks = incrementTasks(Location(Obj), 40);
   R.run(Tasks);
   AuditReport Report = audit(R.trace(), Tasks, Reg);

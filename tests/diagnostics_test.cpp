@@ -383,7 +383,8 @@ TEST_P(SerializabilityOracle, ThreadedFinalStateEqualsCommitOrderReplay) {
   std::vector<TaskFn> Tasks = randomTasks(A, B, R, 30);
 
   stm::WriteSetDetector D;
-  stm::ShardedRuntime Runtime(Reg, D, stm::ShardedConfig{4, 1, false, false});
+  stm::ShardedRuntime Runtime(
+      Reg, D, stm::ShardedConfig{.NumThreads = 4, .NumShards = 1});
   Runtime.run(Tasks);
 
   std::vector<uint32_t> Order = Runtime.commitOrder();

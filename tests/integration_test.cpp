@@ -252,8 +252,8 @@ TEST_P(TrainedDetectorSerializability, ThreadedCommitOrderReplayMatches) {
   conflict::SequenceDetector D(Cache, Cfg);
 
   std::vector<TaskFn> Tasks = mixedTasks(Counter, Cell, List, R, 30);
-  stm::ShardedRuntime Runtime(Reg, D,
-                              stm::ShardedConfig{4, 1, false, false});
+  stm::ShardedRuntime Runtime(
+      Reg, D, stm::ShardedConfig{.NumThreads = 4, .NumShards = 1});
   Snapshot Init;
   Init = Init.set(Location(List, "size"), Value::of(int64_t(0)));
   Runtime.setInitialState(Init);
@@ -290,8 +290,9 @@ TEST(EngineAgreementTest, OrderedRunsSameFinalStateOnBothEngines) {
     Sim.setInitialState(Init);
     Sim.run(Tasks);
 
-    stm::ShardedRuntime Threaded(Reg, D2,
-                                 stm::ShardedConfig{4, 1, true, false});
+    stm::ShardedRuntime Threaded(
+        Reg, D2,
+        stm::ShardedConfig{.NumThreads = 4, .NumShards = 1, .Ordered = true});
     Threaded.setInitialState(Init);
     Threaded.run(Tasks);
 

@@ -184,20 +184,6 @@ TEST(RecorderTest, LanesAreIndependentAndMergedBySeq) {
   EXPECT_EQ(R.overwritten(), 0u);
 }
 
-TEST(RecorderTest, SamplingRuleMatchesObserver) {
-  RecorderConfig Cfg;
-  Cfg.Enabled = true;
-  Cfg.SampleEvery = 4;
-  Recorder R(Cfg, 1);
-  EXPECT_TRUE(R.sampled(1));
-  EXPECT_FALSE(R.sampled(2));
-  EXPECT_TRUE(R.sampled(5));
-  Cfg.SampleEvery = 1;
-  Recorder All(Cfg, 1);
-  for (uint32_t T = 1; T <= 8; ++T)
-    EXPECT_TRUE(All.sampled(T));
-}
-
 //===----------------------------------------------------------------------===//
 // .jrec codec
 //===----------------------------------------------------------------------===//

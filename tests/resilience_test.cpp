@@ -4,13 +4,12 @@
 /// Tests for janus::resilience and its integration into both engines:
 /// fault-plan parsing, the contention-manager escalation ladder
 /// (backoff → serial fallback → failure), exception-safe transactions,
-/// retry-storm bounding, deterministic fault injection, adaptive
-/// detector degradation, and audit-cleanliness of degraded runs.
+/// retry-storm bounding, deterministic fault injection, and
+/// audit-cleanliness of degraded runs.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "janus/analysis/Auditor.h"
-#include "janus/conflict/SequenceDetector.h"
 #include "janus/resilience/ContentionManager.h"
 #include "janus/resilience/FaultPlan.h"
 #include "janus/stm/Detector.h"
@@ -31,7 +30,6 @@
 using namespace janus;
 using namespace janus::resilience;
 using namespace janus::stm;
-using symbolic::LocOp;
 
 namespace {
 
@@ -405,45 +403,6 @@ TEST(ThreadedResilienceTest, InjectedFaultCountsAreSchedulingIndependent) {
   EXPECT_EQ(C1, 8u);
   EXPECT_EQ(E1, 1u);
   EXPECT_EQ(F1, Value::of(8));
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive detector degradation.
-// ---------------------------------------------------------------------------
-
-TEST(DetectorDegradationTest, OpBudgetFallsBackToWriteSet) {
-  World W;
-  Location L(W.Work);
-  auto Cache = std::make_shared<conflict::CommutativityCache>();
-  conflict::SequenceDetectorConfig Cfg;
-  Cfg.OnlineFallback = true;
-  Cfg.OnlineOpBudget = 1; // Any pair with > 1 total ops degrades.
-  conflict::SequenceDetector Det(Cache, Cfg);
-  Snapshot Entry;
-  Entry = Entry.set(L, Value::of(0));
-  // Two adds commute under sequence reasoning (see the test below),
-  // but the degraded write-set fallback conservatively reports a
-  // conflict without ever reaching the online evaluator.
-  TxLog Mine{{L, LocOp::add(1)}};
-  auto Theirs = std::make_shared<const TxLog>(TxLog{{L, LocOp::add(2)}});
-  EXPECT_TRUE(Det.detectConflicts(Entry, Mine, {Theirs}, W.Reg));
-  EXPECT_GE(Det.stats().DegradedQueries.load(), 1u);
-}
-
-TEST(DetectorDegradationTest, UnlimitedBudgetNeverDegrades) {
-  World W;
-  Location L(W.Work);
-  auto Cache = std::make_shared<conflict::CommutativityCache>();
-  conflict::SequenceDetectorConfig Cfg;
-  Cfg.OnlineFallback = true;
-  conflict::SequenceDetector Det(Cache, Cfg);
-  Snapshot Entry;
-  Entry = Entry.set(L, Value::of(0));
-  TxLog Mine{{L, LocOp::add(1)}};
-  auto Theirs = std::make_shared<const TxLog>(TxLog{{L, LocOp::add(2)}});
-  // Online evaluation proves the adds commute; no degradation.
-  EXPECT_FALSE(Det.detectConflicts(Entry, Mine, {Theirs}, W.Reg));
-  EXPECT_EQ(Det.stats().DegradedQueries.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -265,3 +265,34 @@ TEST(TrainingArtifactTest, RejectsGarbage) {
       "janus-training-artifact v1\nendrelax\n"
       "janus-commutativity-cache v1\n"));
 }
+
+TEST(TrainingArtifactTest, RejectedArtifactAppliesNoRelaxation) {
+  core::Janus J;
+  ObjectId Ctx = J.registry().registerObject("ctx.file");
+  // Well-formed relaxations, but the cache part does not parse.
+  EXPECT_FALSE(J.importTrainingArtifact(
+      "janus-training-artifact v1\nrelax 1 1 ctx.file\nendrelax\n"
+      "janus-commutativity-cache v1\nclass oops\n"));
+  EXPECT_FALSE(J.registry().info(Ctx).Relax.TolerateRAW);
+  EXPECT_FALSE(J.registry().info(Ctx).Relax.TolerateWAW);
+  EXPECT_EQ(J.cache()->size(), 0u);
+}
+
+TEST(TrainingArtifactTest, RejectsMalformedRelaxFlags) {
+  core::Janus J;
+  ObjectId Ctx = J.registry().registerObject("ctx.file");
+  const std::string Cache = "endrelax\njanus-commutativity-cache v1\n";
+  for (const char *Relax :
+       {"relax 2 x ctx.file\n", "relax 1 2 ctx.file\n",
+        "relax 1  1 ctx.file\n", "relax 1 1 \n", "relax 11 ctx.file\n"})
+    EXPECT_FALSE(J.importTrainingArtifact(
+        "janus-training-artifact v1\n" + std::string(Relax) + Cache))
+        << Relax;
+  EXPECT_FALSE(J.registry().info(Ctx).Relax.TolerateRAW);
+  EXPECT_FALSE(J.registry().info(Ctx).Relax.TolerateWAW);
+  // The same artifact with valid flags is accepted and applied.
+  EXPECT_TRUE(J.importTrainingArtifact(
+      "janus-training-artifact v1\nrelax 0 1 ctx.file\n" + Cache));
+  EXPECT_FALSE(J.registry().info(Ctx).Relax.TolerateRAW);
+  EXPECT_TRUE(J.registry().info(Ctx).Relax.TolerateWAW);
+}

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <tuple>
 
 using namespace janus;
@@ -156,7 +157,8 @@ TEST(WriteSetDetectorTest, AddIsAReadModifyWrite) {
 TEST(OneShardRuntimeTest, SingleTaskCommits) {
   World W;
   WriteSetDetector D;
-  ShardedRuntime R(W.Reg, D, ShardedConfig{1, 1, false, false});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 1, .NumShards = 1});
   R.run({[&W](TxContext &Tx) { Tx.write(Location(W.Work), Value::of(42)); }});
   EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(42));
   EXPECT_EQ(R.stats().Commits.load(), 1u);
@@ -168,7 +170,8 @@ TEST(OneShardRuntimeTest, AtomicityOfReadModifyWrite) {
   // Under any interleaving the final value must be N.
   World W;
   WriteSetDetector D;
-  ShardedRuntime R(W.Reg, D, ShardedConfig{4, 1, false, false});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 4, .NumShards = 1});
   const int N = 60;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
@@ -186,7 +189,8 @@ TEST(OneShardRuntimeTest, AtomicityOfReadModifyWrite) {
 TEST(OneShardRuntimeTest, SemanticAddsReplayCorrectly) {
   World W;
   WriteSetDetector D;
-  ShardedRuntime R(W.Reg, D, ShardedConfig{4, 1, false, false});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 4, .NumShards = 1});
   const int N = 50;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
@@ -204,7 +208,9 @@ TEST(OneShardRuntimeTest, OrderedRunMatchesSequentialFinalState) {
   for (unsigned Threads : {1u, 2u, 4u}) {
     World W;
     WriteSetDetector D;
-    ShardedRuntime R(W.Reg, D, ShardedConfig{Threads, 1, true, false});
+    ShardedRuntime R(W.Reg, D,
+                     ShardedConfig{.NumThreads = Threads, .NumShards = 1,
+                                   .Ordered = true});
     const int N = 25;
     std::vector<TaskFn> Tasks;
     for (int I = 1; I <= N; ++I)
@@ -223,7 +229,9 @@ TEST(OneShardRuntimeTest, OrderedRunMatchesSequentialFinalState) {
 TEST(OneShardRuntimeTest, StatePersistsAcrossRuns) {
   World W;
   WriteSetDetector D;
-  ShardedRuntime R(W.Reg, D, ShardedConfig{2, 1, true, false});
+  ShardedRuntime R(
+      W.Reg, D,
+      ShardedConfig{.NumThreads = 2, .NumShards = 1, .Ordered = true});
   R.run({[&W](TxContext &Tx) { Tx.add(Location(W.Work), 5); }});
   R.run({[&W](TxContext &Tx) { Tx.add(Location(W.Work), 7); },
          [&W](TxContext &Tx) { Tx.add(Location(W.Work), 1); }});
@@ -234,19 +242,16 @@ TEST(OneShardRuntimeTest, StatePersistsAcrossRuns) {
 TEST(OneShardRuntimeTest, LogReclamationBoundsHistory) {
   World W;
   WriteSetDetector D;
-  ShardedRuntime NoReclaim(W.Reg, D, ShardedConfig{1, 1, false, false});
-  ShardedRuntime Reclaim(W.Reg, D, ShardedConfig{1, 1, false, true});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 1, .NumShards = 1});
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != 30; ++I)
     Tasks.push_back([&W](TxContext &Tx) { Tx.add(Location(W.Work), 1); });
-  NoReclaim.run(Tasks);
-  Reclaim.run(Tasks);
-  EXPECT_EQ(NoReclaim.historySize(), 30u);
+  R.run(Tasks);
   // With a single thread no transaction overlaps another, so every log
   // is reclaimable as soon as it commits.
-  EXPECT_LE(Reclaim.historySize(), 1u);
-  EXPECT_EQ(snapshotValue(Reclaim.sharedState(), Location(W.Work)),
-            snapshotValue(NoReclaim.sharedState(), Location(W.Work)));
+  EXPECT_LE(R.historySize(), 1u);
+  EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(30));
 }
 
 /// Property: across thread counts and seeds, running random counter /
@@ -296,11 +301,14 @@ TEST_P(ThreadedSerializability, OrderedEqualsSequential) {
 
   // Sequential reference.
   WriteSetDetector DSeq;
-  ShardedRuntime Seq(W.Reg, DSeq, ShardedConfig{1, 1, false, false});
+  ShardedRuntime Seq(W.Reg, DSeq,
+                     ShardedConfig{.NumThreads = 1, .NumShards = 1});
   Seq.run(Tasks);
 
   WriteSetDetector DPar;
-  ShardedRuntime Par(W.Reg, DPar, ShardedConfig{Threads, 1, true, false});
+  ShardedRuntime Par(W.Reg, DPar,
+                     ShardedConfig{.NumThreads = Threads, .NumShards = 1,
+                                   .Ordered = true});
   Par.run(Tasks);
 
   EXPECT_TRUE(Par.sharedState() == Seq.sharedState());
@@ -455,7 +463,8 @@ TEST(SimRuntimeTest, SpeedupReflectsInstrumentationOverheadOnOneCore) {
 TEST(OneShardRuntimeTest, HighThreadCountStress) {
   World W;
   WriteSetDetector D;
-  ShardedRuntime R(W.Reg, D, ShardedConfig{8, 1, false, false});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 8, .NumShards = 1});
   const int N = 200;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
@@ -475,7 +484,8 @@ TEST(OneShardRuntimeTest, HighThreadCountStress) {
 TEST(OneShardRuntimeTest, CommitOrderCoversEveryTaskExactlyOnce) {
   World W;
   WriteSetDetector D;
-  ShardedRuntime R(W.Reg, D, ShardedConfig{4, 1, false, false});
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 4, .NumShards = 1});
   const int N = 40;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
@@ -619,7 +629,8 @@ TEST(OneShardRuntimeTest, TraceCoversEveryTaskExactlyOnce) {
   World W;
   WriteSetDetector D;
   ShardedRuntime R(W.Reg, D,
-                   ShardedConfig{4, 1, false, false, /*RecordTrace=*/true});
+                   ShardedConfig{.NumThreads = 4, .NumShards = 1,
+                                 .RecordTrace = true});
   Location L(W.Work);
   std::vector<TaskFn> Tasks(32, [&](TxContext &Tx) { Tx.add(L, 1); });
   R.run(Tasks);
@@ -643,7 +654,8 @@ TEST(OneShardRuntimeTest, TraceResetsBetweenRuns) {
   World W;
   WriteSetDetector D;
   ShardedRuntime R(W.Reg, D,
-                   ShardedConfig{2, 1, false, false, /*RecordTrace=*/true});
+                   ShardedConfig{.NumThreads = 2, .NumShards = 1,
+                                 .RecordTrace = true});
   Location L(W.Work);
   std::vector<TaskFn> Tasks(5, [&](TxContext &Tx) { Tx.add(L, 1); });
   R.run(Tasks);
@@ -656,43 +668,64 @@ TEST(OneShardRuntimeTest, TraceResetsBetweenRuns) {
 }
 
 TEST(OneShardRuntimeTest, ConcurrentReclamationNeverDropsVisibleLogs) {
-  // Races eager log reclamation against many in-flight readers: tiny
-  // history segments force the epoch head across segment boundaries
-  // constantly, while write-set conflicts on the shared counter keep
-  // transactions aborting and re-reading their conflict windows. The
-  // HistoryLog reader asserts the window is dense, so a committed log
-  // reclaimed while still visible to a live transaction aborts the
-  // test rather than passing silently.
+  // Races state recycling, which frees each recycled state's log,
+  // against many in-flight windows: read-modify-writes of a few cells
+  // keep transactions walking their windows across validation rounds
+  // while other commits recycle the chain behind them. A window that
+  // lost a log misses a conflict, and the missed conflict loses an
+  // increment; a recycled state inside a live window trips the walk's
+  // density assertion. Either way the test fails rather than passing
+  // silently.
   World W;
   WriteSetDetector D;
-  ShardedConfig Cfg;
-  Cfg.NumShards = 1;
-  Cfg.NumThreads = 8;
-  Cfg.ReclaimLogs = true;
-  Cfg.HistorySegmentRecords = 4;
-  ShardedRuntime R(W.Reg, D, Cfg);
-  const int N = 300;
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 8, .NumShards = 1});
+  const int N = 512, Cells = 8, Runs = 4;
   std::vector<TaskFn> Tasks;
   for (int I = 0; I != N; ++I)
     Tasks.push_back([&W, I](TxContext &Tx) {
+      Location L(W.Arr, I % Cells);
+      Value V = Tx.read(L);
+      std::this_thread::yield(); // Let other attempts commit meanwhile.
+      Tx.write(L, Value::of((V.isAbsent() ? 0 : V.asInt()) + 1));
       Tx.add(Location(W.Work), 1);
-      Tx.write(Location(W.Arr, I % 16), Value::of(int64_t(I)));
     });
-  R.run(Tasks);
-  R.run(Tasks); // Second run: reclamation continues across runs.
+  for (int Run = 0; Run != Runs; ++Run)
+    R.run(Tasks); // Recycling continues across runs.
 
-  EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)),
-            Value::of(int64_t(2 * N)));
-  EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(2 * N));
+  Snapshot Final = R.sharedState();
+  for (int C = 0; C != Cells; ++C)
+    EXPECT_EQ(snapshotValue(Final, Location(W.Arr, C)),
+              Value::of(int64_t(Runs * N / Cells)))
+        << "cell " << C;
+  EXPECT_EQ(snapshotValue(Final, Location(W.Work)),
+            Value::of(int64_t(Runs * N)));
+  EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(Runs * N));
   // Every task committed exactly once per run.
   std::vector<int> PerTid(N + 1, 0);
   for (uint32_t Tid : R.commitOrder())
     ++PerTid[Tid];
   for (int I = 1; I <= N; ++I)
-    EXPECT_EQ(PerTid[I], 2);
-  // With every transaction finished, the final commit reclaimed the
-  // whole window behind itself.
+    EXPECT_EQ(PerTid[I], Runs);
+  // With every transaction finished, the final commit recycled the
+  // whole chain behind itself.
   EXPECT_LE(R.historySize(), 8u);
+}
+
+TEST(OneShardRuntimeTest, HistoryStaysBoundedWithoutTrim) {
+  // Recycling drops a log with its state, during the run: a long run on
+  // a contended shard retains only what live attempts could still
+  // query, not one log per commit until a trim.
+  World W;
+  WriteSetDetector D;
+  ShardedRuntime R(W.Reg, D,
+                   ShardedConfig{.NumThreads = 4, .NumShards = 1});
+  const int N = 2000;
+  std::vector<TaskFn> Tasks(
+      N, [&W](TxContext &Tx) { Tx.add(Location(W.Work), 1); });
+  R.run(Tasks);
+  EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(N));
+  EXPECT_LT(R.historySize(), static_cast<size_t>(N / 100));
 }
 
 // ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ mkdir -p "$OUTDIR"
 
 for B in micro_commit fig9_speedup fig11_misses \
          table5_patterns table6_inputs ablation_fallback \
-         ablation_reclaim micro_detection; do
+         micro_detection; do
   if [ ! -x "$BENCH_DIR/$B" ]; then
     echo "bench.sh: skipping $B (not built)" >&2
     continue

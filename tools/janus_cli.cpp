@@ -566,9 +566,6 @@ JanusConfig configFor(const CliOptions &Opts) {
   Cfg.Faults = Opts.Faults;
   Cfg.Obs.Enabled = Opts.obsEnabled();
   Cfg.Obs.SampleEvery = Opts.Sample;
-  // The flight recorder keeps its default SampleEvery of 1: a sampled
-  // stream cannot be replayed, and a complete one is still bounded by
-  // the per-lane ring.
   Cfg.Record.Enabled = !Opts.RecordOut.empty();
   Cfg.Record.PerLaneCap = Opts.RecordCap;
   Cfg.Record.SnapshotWindowUs = Opts.RecordWindowMs * 1000;
@@ -600,7 +597,6 @@ obs::RecMeta recMetaFor(const CliOptions &Opts, const std::string &Workload,
   M.Written = R.written();
   M.Overwritten = R.overwritten();
   M.NumLanes = R.lanes();
-  M.SampleEvery = R.config().SampleEvery;
   return M;
 }
 
@@ -729,7 +725,6 @@ std::string runReportJson(const std::string &Command,
   W.field("online_checks", DS.OnlineChecks.load());
   W.field("write_set_checks", DS.WriteSetChecks.load());
   W.field("conflicts_found", DS.ConflictsFound.load());
-  W.field("degraded_queries", DS.DegradedQueries.load());
   W.field("signature_intern_hits", DS.SignatureInternHits.load());
   if (auto *SD = J.sequenceDetector()) {
     W.field("unique_queries", static_cast<uint64_t>(SD->uniqueQueries()));
@@ -982,13 +977,12 @@ int cmdRun(const CliOptions &Opts) {
     if (auto *SD = J.sequenceDetector()) {
       const stm::DetectorStats &DS = J.detectorStats();
       std::printf("queries    : %llu pairs, %llu hits, %llu misses, "
-                  "%llu online, %llu write-set, %llu degraded\n",
+                  "%llu online, %llu write-set\n",
                   (unsigned long long)DS.PairQueries.load(),
                   (unsigned long long)DS.CacheHits.load(),
                   (unsigned long long)DS.CacheMisses.load(),
                   (unsigned long long)DS.OnlineChecks.load(),
-                  (unsigned long long)DS.WriteSetChecks.load(),
-                  (unsigned long long)DS.DegradedQueries.load());
+                  (unsigned long long)DS.WriteSetChecks.load());
       std::printf("specs      : %s mode, %llu hits, %llu abstains, "
                   "%llu interned-signature hits\n",
                   conflict::specModeName(Opts.Specs),
@@ -1386,9 +1380,8 @@ int cmdReplay(const CliOptions &Opts) {
   }
   if (Meta.SampleEvery > 1) {
     std::fprintf(stderr,
-                 "janus: error: '%s' was recorded with --sample %u; a "
-                 "sampled stream is inspection-only (replay needs every "
-                 "event)\n",
+                 "janus: error: '%s' has sample_every %u; a sampled "
+                 "stream is inspection-only (replay needs every event)\n",
                  Opts.ReplayFile.c_str(), Meta.SampleEvery);
     return 1;
   }
