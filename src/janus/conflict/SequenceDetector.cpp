@@ -286,39 +286,6 @@ bool SequenceDetector::locationConflicts(const Value &EntryVal,
 
   if (Config.OnlineFallback) {
     ++Stats.OnlineChecks;
-    if (Config.MemoizeOnline && !Learned.Hit) {
-      // Online training: compute and install the condition the offline
-      // trainer would have produced for this pair, so the next
-      // occurrence of the query is a hit (the insert moves the cache's
-      // generation, which sends the query table back to the cache).
-      PairQuery Q =
-          buildPairQuery(Info.LocClass, Mine, Theirs, Config.UseAbstraction);
-      std::optional<Condition> Cond = commutativityCondition(
-          Q.MineAbs.expandOnce(),
-          [&Q]() {
-            SymLocSeq Theirs = Q.TheirsAbs.expandOnce();
-            for (SymLocOp &Op : Theirs)
-              if (Op.Kind != LocOpKind::Read)
-                Op.Operand = Op.Operand.mapSymbols([](SymId S) {
-                  return S == EntrySym ? S : S + TheirParamOffset;
-                });
-            return Theirs;
-          }(),
-          Checks);
-      if (Cond) {
-        bool UsesGroupParam = false;
-        if (Cond->isConditional()) {
-          std::map<SymId, bool> Used;
-          Cond->collectSymbols(Used);
-          for (const auto &[Sym, Flag] : Used) {
-            (void)Flag;
-            UsesGroupParam = UsesGroupParam || Q.GroupParams.count(Sym);
-          }
-        }
-        if (!UsesGroupParam)
-          Cache->insert(Q.Key, std::move(*Cond));
-      }
-    }
     return conflictOnline(EntryVal, Mine, Theirs, Checks);
   }
 

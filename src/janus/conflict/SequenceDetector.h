@@ -83,11 +83,6 @@ struct SequenceDetectorConfig {
   /// the write-set test ("JANUS can be configured to perform the
   /// sequence-based check online", §5.3).
   bool OnlineFallback = false;
-  /// Online training (§5.3: "memoization can be used to support online
-  /// training"): on a cache miss, additionally compute the symbolic
-  /// commutativity condition for the missed pair and install it, so
-  /// recurring queries stop missing. Requires OnlineFallback.
-  bool MemoizeOnline = false;
   /// Answer define-before-use queries on tolerate-WAW objects directly
   /// from the relaxation reasoning, without consulting the cache (an
   /// extension beyond the paper; the Figure 11 harness disables it so

@@ -30,7 +30,7 @@ Janus::Janus(JanusConfig ConfigIn)
   Config.Training.UseAbstraction = Config.Sequence.UseAbstraction;
   // Fault injection: an unconfigured plan picks up JANUS_FAULTS from
   // the environment, so chaos runs need no code changes; a `satbudget`
-  // clause starves the trainer's SAT cross-check.
+  // clause clamps the budget of the trainer's opt-in SAT cross-check.
   if (Config.Faults.empty())
     Config.Faults = resilience::FaultPlan::fromEnv();
   if (std::optional<uint64_t> B = Config.Faults.satConflictBudget())

@@ -19,9 +19,12 @@
 ///   - `commitDelay`   — the commit is delayed (wall-clock microseconds
 ///                       on the threaded engine, virtual cost units on
 ///                       the simulator), widening conflict windows;
-///   - `satConflictBudget` — the trainer/relational SAT cross-check
-///                       budget is clamped, forcing "unknown → be
-///                       conservative" outcomes.
+///   - `satConflictBudget` — the trainer's SAT cross-check budget
+///                       (TrainerConfig::SatConflictBudget) is clamped,
+///                       forcing "unknown → be conservative" outcomes.
+///                       The cross-check runs only when
+///                       TrainerConfig::VerifyWithSat is set (off by
+///                       default); otherwise the clamp changes nothing.
 ///
 /// Plan grammar (also accepted via the `JANUS_FAULTS` environment
 /// variable; clauses separated by `;`):
@@ -52,7 +55,7 @@
 /// Example: JANUS_FAULTS="abort@*.1;throw@2.1;delay@*.2=50;satbudget=4"
 /// force-aborts every task's first attempt, makes task 2's first
 /// attempt throw, delays every second attempt's commit by 50 units and
-/// starves the SAT cross-check to 4 conflicts. A service chaos plan
+/// clamps the (opt-in) SAT cross-check to 4 conflicts. A service chaos plan
 /// like "shed@*:7;throw@3:1;acquiredelay@*.1=200" sheds every client's
 /// 7th submission, injects a throw into client 3's first submission and
 /// opens a 200µs torn-commit window on every first attempt.

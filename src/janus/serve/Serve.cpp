@@ -50,11 +50,12 @@ Service::Service(core::Janus &J, std::vector<stm::TaskFn> TaskPool,
   if (obs::Observer *O = J.observer()) {
     obs::MetricsRegistry &M = O->metrics();
     CtrSubmissions = &M.counter("serve.submissions");
-    CtrSheds = &M.counter("serve.sheds");
-    CtrCommitted = &M.counter("serve.committed");
-    CtrDeadline = &M.counter("serve.deadline_failures");
+    // In ReplyStatus order.
+    CtrReplies = {&M.counter("serve.committed"), &M.counter("serve.failed"),
+                  &M.counter("serve.deadline_failures"),
+                  &M.counter("serve.sheds"),
+                  &M.counter("serve.drained_inflight")};
     CtrEscalations = &M.counter("serve.watchdog_escalations");
-    CtrDrained = &M.counter("serve.drained_inflight");
     CtrBatches = &M.counter("serve.batches");
   }
 }
@@ -74,95 +75,66 @@ void Service::setReplySink(std::function<void(const Reply &)> SinkIn) {
   Sink = std::move(SinkIn);
 }
 
-void Service::replyOut(const Reply &R) {
-  std::lock_guard<std::mutex> G(ReplyMutex);
-  Replies.fetch_add(1, std::memory_order_relaxed);
-  if (Sink)
-    Sink(R);
-}
-
-void Service::shed(uint64_t Client, uint64_t SubId, const char *Why) {
-  Sheds.fetch_add(1, std::memory_order_relaxed);
-  if (CtrSheds)
-    CtrSheds->add(1);
-  tallyReply(Client, ReplyStatus::Overloaded, /*Admitted=*/false);
-  replyOut(Reply{Client, SubId, ReplyStatus::Overloaded, Why});
-}
-
-void Service::tallyReply(uint64_t Client, ReplyStatus S, bool Admitted) {
-  std::lock_guard<std::mutex> G(AdmMutex);
-  ClientAdmission &C = Admissions[Client];
-  if (Admitted) {
+void Service::tally(ClientRecord &C, ReplyStatus S) {
+  if (S != ReplyStatus::Overloaded) {
     JANUS_ASSERT(C.Pending > 0, "reply without admission");
     --C.Pending;
   }
-  switch (S) {
-  case ReplyStatus::Committed:
-    ++C.Committed;
-    break;
-  case ReplyStatus::Failed:
-    ++C.Failed;
-    break;
-  case ReplyStatus::Deadline:
-    ++C.Deadlines;
-    break;
-  case ReplyStatus::Overloaded:
-    ++C.Sheds;
-    break;
-  case ReplyStatus::Cancelled:
-    ++C.Cancelled;
-    break;
+  const size_t I = static_cast<size_t>(S);
+  ++C.Tally[I];
+  if (CtrReplies[I])
+    CtrReplies[I]->add(1);
+}
+
+void Service::replyOut(std::span<const Reply> Rs) {
+  // One acquisition per reply, so a producer's shed reply waits for at
+  // most one sink call, not a whole batch's.
+  for (const Reply &R : Rs) {
+    std::lock_guard<std::mutex> G(ReplyMutex);
+    Replies.fetch_add(1, std::memory_order_relaxed);
+    if (Sink)
+      Sink(R);
   }
 }
 
 bool Service::submit(uint64_t Client, uint64_t SubId, uint32_t TaskIndex,
                      int64_t DeadlineRelUs) {
-  Received.fetch_add(1, std::memory_order_relaxed);
   if (CtrSubmissions)
     CtrSubmissions->add(1);
+  const int64_t DeadlineUs =
+      DeadlineRelUs > 0 ? CancelToken::nowUs() + DeadlineRelUs : 0;
 
-  // Cheap rejections first — nothing here admits, so a false negative
-  // on the racy reads only costs one shed under churn.
-  uint32_t Seq = 0;
   const char *Why = nullptr;
-  if (Stopping.load(std::memory_order_acquire))
-    Why = "stopping";
-  else if (Queue.sizeApprox() >= Config.QueueCap)
-    Why = "queue full";
-  else if (Board.EscalationLevel.load(std::memory_order_acquire) >= 2)
-    Why = "forced-serial escalation";
-  else if (ShedGate.load(std::memory_order_acquire))
-    Why = "pressure";
-
   {
     std::lock_guard<std::mutex> G(AdmMutex);
-    ClientAdmission &C = Admissions[Client];
-    Seq = ++C.Seq; // Every submission gets a chaos coordinate, shed or not.
-    if (!Why && ServicePlan.shedSubmission(static_cast<uint32_t>(Client), Seq))
-      Why = "injected";
-    // Re-check under the lock: requestStop() takes AdmMutex after
-    // setting Stopping, so once it returns no further admission can
-    // slip in — pendingTotal()==0 then really means "fully drained".
-    if (!Why && Stopping.load(std::memory_order_acquire))
+    ClientRecord &C = Clients[Client];
+    // Every submission gets a chaos coordinate, shed or not.
+    const uint32_t Seq = ++C.Seq;
+    // Stopping is read under the lock: requestStop() cycles AdmMutex
+    // after setting it, so once it returns no admission can slip in.
+    if (Stopping.load(std::memory_order_acquire))
       Why = "stopping";
-    if (!Why && C.Pending >= Config.LaneCap)
+    else if (Queued >= Config.QueueCap)
+      Why = "queue full";
+    else if (Board.EscalationLevel.load(std::memory_order_acquire) >= 2)
+      Why = "forced-serial escalation";
+    else if (ShedGate.load(std::memory_order_acquire))
+      Why = "pressure";
+    else if (ServicePlan.shedSubmission(static_cast<uint32_t>(Client), Seq))
+      Why = "injected";
+    else if (C.Pending >= Config.LaneCap)
       Why = "client lane full";
-    if (!Why)
+    if (!Why) {
       ++C.Pending;
+      ++Queued;
+      C.Lane.push_back(Submission{Client, SubId, Seq, TaskIndex, DeadlineUs});
+      return true;
+    }
+    tally(C, ReplyStatus::Overloaded);
   }
-  if (Why) {
-    shed(Client, SubId, Why);
-    return false;
-  }
-
-  Submission S;
-  S.Client = Client;
-  S.SubId = SubId;
-  S.Seq = Seq;
-  S.TaskIndex = TaskIndex;
-  S.DeadlineUs = DeadlineRelUs > 0 ? CancelToken::nowUs() + DeadlineRelUs : 0;
-  Queue.push(std::move(S));
-  return true;
+  const Reply R{Client, SubId, ReplyStatus::Overloaded, Why};
+  replyOut({&R, 1});
+  return false;
 }
 
 void Service::requestStop() {
@@ -170,63 +142,43 @@ void Service::requestStop() {
   if (Stopping.compare_exchange_strong(Expected, true,
                                        std::memory_order_acq_rel)) {
     DrainStartUs.store(CancelToken::nowUs(), std::memory_order_release);
-    // Admission fence: submit() re-checks Stopping under AdmMutex, so
+    // Admission fence: submit() reads Stopping under AdmMutex, so
     // after this lock cycles, the set of admitted submissions is fixed.
     std::lock_guard<std::mutex> G(AdmMutex);
   }
 }
 
-uint64_t Service::pendingTotal() {
-  std::lock_guard<std::mutex> G(AdmMutex);
-  uint64_t N = 0;
-  for (const auto &KV : Admissions)
-    N += KV.second.Pending;
-  return N;
-}
-
-void Service::drainQueueIntoLanes() {
-  Submission S;
-  while (Queue.pop(S))
-    Lanes[S.Client].Q.push_back(std::move(S));
-}
-
-size_t Service::buildBatch(std::vector<Submission> &Batch) {
+void Service::buildBatch(std::vector<Submission> &Batch,
+                         std::vector<Reply> &Expired) {
   // Deficit round-robin: each pass tops every non-empty lane's deficit
   // up by the quantum and takes up to that many submissions, so a
   // client that floods its lane gets the same per-pass share as one
   // that trickles.
-  bool AnyQueued = true;
-  while (Batch.size() < Config.BatchMax && AnyQueued) {
-    AnyQueued = false;
-    for (auto &KV : Lanes) {
-      Lane &L = KV.second;
-      if (L.Q.empty()) {
-        L.Deficit = 0; // No banking credit while idle.
+  while (Batch.size() + Expired.size() < Config.BatchMax && Queued != 0) {
+    for (auto &KV : Clients) {
+      ClientRecord &C = KV.second;
+      if (C.Lane.empty()) {
+        C.Deficit = 0; // No banking credit while idle.
         continue;
       }
-      L.Deficit += DrrQuantum;
-      while (L.Deficit > 0 && !L.Q.empty() &&
-             Batch.size() < Config.BatchMax) {
-        Submission S = std::move(L.Q.front());
-        L.Q.pop_front();
-        --L.Deficit;
+      C.Deficit += DrrQuantum;
+      while (C.Deficit > 0 && !C.Lane.empty() &&
+             Batch.size() + Expired.size() < Config.BatchMax) {
+        Submission S = std::move(C.Lane.front());
+        C.Lane.pop_front();
+        --C.Deficit;
+        --Queued;
         if (S.DeadlineUs != 0 && CancelToken::nowUs() >= S.DeadlineUs) {
           // Already expired: fail at dequeue, don't burn an attempt.
-          DeadlineFailures.fetch_add(1, std::memory_order_relaxed);
-          if (CtrDeadline)
-            CtrDeadline->add(1);
-          tallyReply(S.Client, ReplyStatus::Deadline);
-          replyOut(Reply{S.Client, S.SubId, ReplyStatus::Deadline,
-                         "deadline exceeded before start"});
+          tally(C, ReplyStatus::Deadline);
+          Expired.push_back(Reply{S.Client, S.SubId, ReplyStatus::Deadline,
+                                  "deadline exceeded before start"});
           continue;
         }
         Batch.push_back(std::move(S));
       }
-      if (!L.Q.empty())
-        AnyQueued = true;
     }
   }
-  return Batch.size();
 }
 
 void Service::runBatch(std::vector<Submission> &Batch) {
@@ -296,7 +248,9 @@ void Service::runBatch(std::vector<Submission> &Batch) {
   if (CtrBatches)
     CtrBatches->add(1);
 
-  if (Config.Audit && J.lastTrace().Recorded) {
+  // A batch is audited exactly when its trace was recorded (RecordTrace
+  // on the Janus config).
+  if (J.lastTrace().Recorded) {
     analysis::AuditReport AR = analysis::audit(J.lastTrace(), Tasks,
                                                J.registry());
     if (!AR.clean()) {
@@ -309,62 +263,55 @@ void Service::runBatch(std::vector<Submission> &Batch) {
     }
   }
 
-  // Exactly one terminal reply per batch member, keyed by task id.
+  // Exactly one terminal reply per batch member, keyed by task id; the
+  // batch's replies are tallied under one AdmMutex acquisition.
   std::vector<const resilience::TaskFailure *> ByTid(N, nullptr);
   for (const resilience::TaskFailure &F : Out.Failures)
     if (F.Tid >= 1 && F.Tid <= N)
       ByTid[F.Tid - 1] = &F;
+  std::vector<Reply> Rs;
+  Rs.reserve(N);
   for (size_t I = 0; I != N; ++I) {
-    const Submission &S = Batch[I];
-    const resilience::TaskFailure *F = ByTid[I];
-    if (!F) {
-      CommittedN.fetch_add(1, std::memory_order_relaxed);
-      if (CtrCommitted)
-        CtrCommitted->add(1);
-      tallyReply(S.Client, ReplyStatus::Committed);
-      replyOut(Reply{S.Client, S.SubId, ReplyStatus::Committed, {}});
-      continue;
+    Reply R{Batch[I].Client, Batch[I].SubId, ReplyStatus::Committed, {}};
+    if (const resilience::TaskFailure *F = ByTid[I]) {
+      switch (F->FailKind) {
+      case resilience::TaskFailure::Kind::Deadline:
+        R.Status = ReplyStatus::Deadline;
+        break;
+      case resilience::TaskFailure::Kind::Shutdown:
+        R.Status = ReplyStatus::Cancelled;
+        break;
+      case resilience::TaskFailure::Kind::Exception:
+        R.Status = ReplyStatus::Failed;
+        break;
+      }
+      R.Detail = F->Reason;
     }
-    switch (F->FailKind) {
-    case resilience::TaskFailure::Kind::Deadline:
-      DeadlineFailures.fetch_add(1, std::memory_order_relaxed);
-      if (CtrDeadline)
-        CtrDeadline->add(1);
-      tallyReply(S.Client, ReplyStatus::Deadline);
-      replyOut(Reply{S.Client, S.SubId, ReplyStatus::Deadline, F->Reason});
-      break;
-    case resilience::TaskFailure::Kind::Shutdown:
-      DrainedInflight.fetch_add(1, std::memory_order_relaxed);
-      if (CtrDrained)
-        CtrDrained->add(1);
-      tallyReply(S.Client, ReplyStatus::Cancelled);
-      replyOut(Reply{S.Client, S.SubId, ReplyStatus::Cancelled, F->Reason});
-      break;
-    case resilience::TaskFailure::Kind::Exception:
-      FailedN.fetch_add(1, std::memory_order_relaxed);
-      tallyReply(S.Client, ReplyStatus::Failed);
-      replyOut(Reply{S.Client, S.SubId, ReplyStatus::Failed, F->Reason});
-      break;
-    }
+    Rs.push_back(std::move(R));
   }
+  {
+    std::lock_guard<std::mutex> G(AdmMutex);
+    for (const Reply &R : Rs)
+      tally(Clients[R.Client], R.Status);
+  }
+  replyOut(Rs);
 }
 
 void Service::failBacklog() {
-  drainQueueIntoLanes();
-  for (auto &KV : Lanes) {
-    Lane &L = KV.second;
-    while (!L.Q.empty()) {
-      Submission S = std::move(L.Q.front());
-      L.Q.pop_front();
-      DrainedInflight.fetch_add(1, std::memory_order_relaxed);
-      if (CtrDrained)
-        CtrDrained->add(1);
-      tallyReply(S.Client, ReplyStatus::Cancelled);
-      replyOut(
-          Reply{S.Client, S.SubId, ReplyStatus::Cancelled,
-                "drain hard deadline"});
+  std::vector<Reply> Rs;
+  {
+    std::lock_guard<std::mutex> G(AdmMutex);
+    for (auto &KV : Clients) {
+      for (const Submission &S : KV.second.Lane) {
+        tally(KV.second, ReplyStatus::Cancelled);
+        Rs.push_back(Reply{S.Client, S.SubId, ReplyStatus::Cancelled,
+                           "drain hard deadline"});
+      }
+      KV.second.Lane.clear();
     }
+    Queued = 0;
   }
+  replyOut(Rs);
 }
 
 void Service::serve() {
@@ -397,46 +344,43 @@ void Service::serve() {
   };
 
   std::vector<Submission> Batch;
+  std::vector<Reply> Expired;
   while (true) {
     if (Config.StopFlag &&
         Config.StopFlag->load(std::memory_order_acquire))
       requestStop();
     if (HardCancelled.load(std::memory_order_acquire))
-      break; // The post-loop sweep fails the backlog.
+      break; // The sweep below fails the backlog.
     PollDumps();
-    drainQueueIntoLanes();
-    {
-      // Lane-depth snapshot for rollupJson(): the only window into the
-      // scheduler-private Lanes map.
-      std::lock_guard<std::mutex> G(RollupMutex);
-      LaneDepths.clear();
-      for (const auto &KV : Lanes)
-        LaneDepths[KV.first] = KV.second.Q.size();
-    }
     Batch.clear();
-    if (buildBatch(Batch) != 0) {
-      runBatch(Batch);
-      MetricsTick();
-      continue;
+    Expired.clear();
+    size_t Left = 0;
+    bool Fenced = false;
+    {
+      std::lock_guard<std::mutex> G(AdmMutex);
+      buildBatch(Batch, Expired);
+      Left = Queued;
+      Fenced = Stopping.load(std::memory_order_acquire);
     }
-    // Nothing runnable. Drained means: admission fenced off AND every
-    // admitted submission has been replied to (mid-push submissions
-    // still count in Pending, so they are waited for, not dropped).
-    if (Stopping.load(std::memory_order_acquire) && pendingTotal() == 0)
-      break;
+    replyOut(Expired);
+    if (!Batch.empty()) {
+      runBatch(Batch);
+    } else if (Left == 0) {
+      // Nothing runnable. Drained means nothing queued with admission
+      // fenced off: Stopping was read under the lock admission reads it
+      // under, so no later submission can be admitted, and no batch is
+      // in flight between iterations.
+      if (Fenced)
+        break;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
     MetricsTick();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 
-  // Hard-cancel sweep: fail whatever is still admitted. A producer that
-  // won admission just before the stop may be mid-push, so loop until
-  // the pending count reaches zero — Stopping guarantees it only drops.
-  while (pendingTotal() != 0) {
-    drainQueueIntoLanes();
-    failBacklog();
-    if (pendingTotal() != 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  // Hard-cancel sweep: fail whatever is still queued (nothing, after a
+  // graceful drain). Admission and the lane append are one critical
+  // section and Stopping is set, so one pass leaves nothing behind.
+  failBacklog();
 
   Done.store(true, std::memory_order_release);
   Watchdog.join();
@@ -511,12 +455,18 @@ void Service::watchdogLoop() {
 
 ServeReport Service::report() const {
   ServeReport R;
-  R.Received = Received.load(std::memory_order_relaxed);
-  R.Sheds = Sheds.load(std::memory_order_relaxed);
-  R.Committed = CommittedN.load(std::memory_order_relaxed);
-  R.Failed = FailedN.load(std::memory_order_relaxed);
-  R.DeadlineFailures = DeadlineFailures.load(std::memory_order_relaxed);
-  R.DrainedInflight = DrainedInflight.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> G(AdmMutex);
+    for (const auto &KV : Clients) {
+      const ClientRecord &C = KV.second;
+      R.Received += C.Seq;
+      R.Committed += C.count(ReplyStatus::Committed);
+      R.Failed += C.count(ReplyStatus::Failed);
+      R.DeadlineFailures += C.count(ReplyStatus::Deadline);
+      R.Sheds += C.count(ReplyStatus::Overloaded);
+      R.DrainedInflight += C.count(ReplyStatus::Cancelled);
+    }
+  }
   R.WatchdogEscalations =
       WatchdogEscalations.load(std::memory_order_relaxed);
   R.Batches = Batches.load(std::memory_order_relaxed);
@@ -530,44 +480,41 @@ std::string Service::rollupJson() const {
   JsonWriter W;
   W.beginObject();
   W.field("schema_version", JsonSchemaVersion);
+  std::lock_guard<std::mutex> G(AdmMutex);
+  uint64_t Sheds = 0, Deadlines = 0;
   W.key("clients");
   W.beginArray();
-  {
-    std::lock_guard<std::mutex> G(AdmMutex);
-    for (const auto &[Client, C] : Admissions) {
-      W.beginObject();
-      W.field("client", static_cast<uint64_t>(Client));
-      W.field("seq", static_cast<uint64_t>(C.Seq));
-      W.field("pending", static_cast<uint64_t>(C.Pending));
-      W.field("sheds", C.Sheds);
-      W.field("committed", C.Committed);
-      W.field("failed", C.Failed);
-      W.field("deadline", C.Deadlines);
-      W.field("cancelled", C.Cancelled);
-      W.endObject();
-    }
+  for (const auto &[Client, C] : Clients) {
+    W.beginObject();
+    W.field("client", static_cast<uint64_t>(Client));
+    W.field("seq", static_cast<uint64_t>(C.Seq));
+    W.field("pending", static_cast<uint64_t>(C.Pending));
+    W.field("sheds", C.count(ReplyStatus::Overloaded));
+    W.field("committed", C.count(ReplyStatus::Committed));
+    W.field("failed", C.count(ReplyStatus::Failed));
+    W.field("deadline", C.count(ReplyStatus::Deadline));
+    W.field("cancelled", C.count(ReplyStatus::Cancelled));
+    W.endObject();
+    Sheds += C.count(ReplyStatus::Overloaded);
+    Deadlines += C.count(ReplyStatus::Deadline);
   }
   W.endArray();
   W.key("lanes");
   W.beginArray();
-  {
-    std::lock_guard<std::mutex> G(RollupMutex);
-    for (const auto &[Client, Depth] : LaneDepths) {
-      W.beginObject();
-      W.field("client", static_cast<uint64_t>(Client));
-      W.field("depth", static_cast<uint64_t>(Depth));
-      W.endObject();
-    }
+  for (const auto &[Client, C] : Clients) {
+    W.beginObject();
+    W.field("client", static_cast<uint64_t>(Client));
+    W.field("depth", static_cast<uint64_t>(C.Lane.size()));
+    W.endObject();
   }
   W.endArray();
-  W.field("queue_depth", static_cast<uint64_t>(Queue.sizeApprox()));
+  W.field("queue_depth", static_cast<uint64_t>(Queued));
   W.field("watchdog_level", static_cast<uint64_t>(Board.EscalationLevel.load(
                                 std::memory_order_acquire)));
   W.field("shed_gate", ShedGate.load(std::memory_order_acquire));
   W.field("batches", Batches.load(std::memory_order_relaxed));
-  W.field("sheds", Sheds.load(std::memory_order_relaxed));
-  W.field("deadline_failures",
-          DeadlineFailures.load(std::memory_order_relaxed));
+  W.field("sheds", Sheds);
+  W.field("deadline_failures", Deadlines);
   W.endObject();
   return W.str();
 }

@@ -11,14 +11,17 @@
 /// one Janus instance with the four robustness mechanisms that turn
 /// "runs fast when lucky" into "degrades instead of collapsing":
 ///
-///  1. **Admission control & backpressure.** Producers push into a
-///     lock-free MPSC queue (SubmissionQueue.h) with a hard cap; each
-///     client additionally has a pending-work cap, and the scheduler
-///     serves client lanes by deficit round-robin so one chatty client
-///     cannot starve the rest. When the queue is full, a lane is full,
-///     the watchdog's pressure gate is up, or the escalation level has
-///     hit forced-serial, new work is *shed* with a structured
-///     `Overloaded` reply instead of queueing unboundedly.
+///  1. **Admission control & backpressure.** Each client has a lane,
+///     and the lanes are the only queue: submit() appends an admitted
+///     submission to its client's lane inside the one critical section
+///     that also takes its chaos sequence number, and the scheduler
+///     builds each batch by deficit round-robin over the lanes under
+///     the same mutex, so one chatty client cannot starve the rest.
+///     When the lanes together hold the queue cap, the client's
+///     pending count is at its cap, the watchdog's pressure gate is
+///     up, or the escalation level has hit forced-serial, new work is
+///     *shed* with a structured `Overloaded` reply instead of queueing
+///     unboundedly.
 ///
 ///  2. **Deadlines & cancellation.** A submission may carry a
 ///     deadline. It is propagated into the engines through a
@@ -58,8 +61,10 @@
 /// serve() runs the scheduler in its caller's thread and owns the
 /// Janus instance for its duration; one internal watchdog thread
 /// touches only atomics (and the active batch's cancellation table,
-/// under a mutex). The reply sink is invoked under a mutex — from
-/// producer threads for sheds, from the scheduler for everything else.
+/// under a mutex). Every terminal reply is counted once, in its
+/// client's record under the admission mutex, and then handed to the
+/// reply sink outside it — from producer threads for sheds, from the
+/// scheduler for everything else.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,14 +75,15 @@
 #include "janus/resilience/Cancellation.h"
 #include "janus/resilience/ContentionManager.h"
 #include "janus/resilience/FaultPlan.h"
-#include "janus/serve/SubmissionQueue.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,15 +124,13 @@ struct Reply {
 struct ServeConfig {
   /// Max submissions per engine batch.
   uint32_t BatchMax = 32;
-  /// Global submission-queue cap; admissions beyond it are shed.
+  /// Global submission-queue cap: admitted submissions not yet in a
+  /// batch, across all lanes; admissions beyond it are shed.
   uint32_t QueueCap = 1024;
   /// Per-client pending cap (queued + in batch); beyond it: shed.
   uint32_t LaneCap = 256;
   /// Run batches in task order (runInOrder) instead of out-of-order.
   bool Ordered = false;
-  /// Audit every recorded batch trace (requires RecordTrace on the
-  /// Janus config); violations are counted in the report.
-  bool Audit = false;
   /// Drain hard deadline: after requestStop(), in-flight work is
   /// cancelled and the backlog failed once this much time has passed.
   int64_t DrainHardUs = 2000000;
@@ -157,7 +161,8 @@ struct ServeConfig {
 
 /// What happened over one serve() lifetime. Reply accounting is the
 /// liveness invariant: clean() demands every submission got exactly
-/// one terminal reply and every audit came back clean.
+/// one terminal reply and every audit came back clean (a batch is
+/// audited when the Janus config records traces).
 struct ServeReport {
   uint64_t Received = 0;         ///< submit() calls.
   uint64_t Sheds = 0;            ///< Overloaded at admission.
@@ -221,53 +226,46 @@ public:
 
   /// Per-client / per-lane rollups as a JSON object (schema_version'd;
   /// see DESIGN.md §12): per client the admission sequence, pending
-  /// count, and terminal-outcome tallies; per lane the queue depth
-  /// snapshotted at the last batch boundary; plus the global queue
-  /// depth, watchdog escalation level, and shed-gate state.
-  /// Thread-safe; composable into the metrics socket reply.
+  /// count, and terminal-outcome tallies; per lane its queue depth;
+  /// plus the global queue depth, watchdog escalation level, and
+  /// shed-gate state. Thread-safe; composable into the metrics socket
+  /// reply.
   std::string rollupJson() const;
 
 private:
-  struct Lane {
-    std::deque<Submission> Q;
-    uint32_t Deficit = 0;
+  static constexpr size_t NumStatuses =
+      static_cast<size_t>(ReplyStatus::Cancelled) + 1;
+
+  /// One client's lane and its accounting, guarded by AdmMutex.
+  struct ClientRecord {
+    std::deque<Submission> Lane; ///< Admitted, not yet in a batch.
+    uint32_t Deficit = 0;        ///< Deficit round-robin credit.
+    uint32_t Seq = 0;            ///< Submissions seen (chaos coordinate).
+    uint32_t Pending = 0;        ///< In the lane or in the current batch.
+    /// Terminal replies by ReplyStatus: each reply's only tally.
+    std::array<uint64_t, NumStatuses> Tally{};
+
+    uint64_t count(ReplyStatus S) const {
+      return Tally[static_cast<size_t>(S)];
+    }
   };
 
-  struct ClientAdmission {
-    uint32_t Seq = 0;     ///< Submissions seen (chaos coordinate).
-    uint32_t Pending = 0; ///< Queued or in the current batch.
-    // Per-client terminal-outcome rollups (metrics schema v3).
-    uint64_t Sheds = 0;
-    uint64_t Committed = 0;
-    uint64_t Failed = 0;
-    uint64_t Deadlines = 0;
-    uint64_t Cancelled = 0;
-  };
+  /// Counts a terminal reply of status \p S in \p C, retiring an
+  /// admitted submission from C's pending count, and bumps the
+  /// status's serve.* counter. Caller holds AdmMutex.
+  void tally(ClientRecord &C, ReplyStatus S);
+  /// Hands terminal replies to the sink. Never called under AdmMutex.
+  void replyOut(std::span<const Reply> Rs);
 
-  /// Emits the terminal reply for \p R (exactly once per submission).
-  void replyOut(const Reply &R);
-  /// Sheds \p Client's submission \p SubId: counts it and emits the
-  /// Overloaded reply.
-  void shed(uint64_t Client, uint64_t SubId, const char *Why);
-  /// Tallies a terminal outcome into the client's rollup counters and,
-  /// for an \p Admitted submission, retires it from the client's
-  /// pending count — one AdmMutex acquisition per terminal reply.
-  void tallyReply(uint64_t Client, ReplyStatus S, bool Admitted = true);
-
-  /// Moves everything the MPSC queue currently holds into the lanes.
-  void drainQueueIntoLanes();
-  /// Builds the next batch by deficit round-robin, pre-dropping
-  /// submissions whose deadline already expired. \returns batch size.
-  size_t buildBatch(std::vector<Submission> &Batch);
+  /// Builds the next batch by deficit round-robin, popping at most
+  /// BatchMax submissions; those whose deadline already expired go to
+  /// \p Expired with their Deadline reply. Caller holds AdmMutex.
+  void buildBatch(std::vector<Submission> &Batch, std::vector<Reply> &Expired);
   /// Runs one batch through the engine and replies to each member.
   void runBatch(std::vector<Submission> &Batch);
   /// Fails every queued submission with a Cancelled reply (drain hard
   /// deadline passed).
   void failBacklog();
-
-  /// Admitted-but-unreplied submissions (the drain-completion
-  /// predicate).
-  uint64_t pendingTotal();
 
   void watchdogLoop();
 
@@ -279,19 +277,11 @@ private:
   resilience::FaultPlan ServicePlan;
   resilience::PressureBoard Board;
 
-  MpscQueue<Submission> Queue;
-  std::map<uint64_t, Lane> Lanes; ///< Scheduler-thread only.
+  mutable std::mutex AdmMutex; ///< Guards Clients and Queued.
+  std::map<uint64_t, ClientRecord> Clients;
+  size_t Queued = 0; ///< Submissions in all lanes (QueueCap counts these).
 
-  mutable std::mutex AdmMutex; ///< Guards Admissions.
-  std::map<uint64_t, ClientAdmission> Admissions;
-
-  /// Lane queue depths, snapshotted by the scheduler at batch
-  /// boundaries so rollupJson() never touches the scheduler-private
-  /// Lanes map. Guarded by RollupMutex.
-  mutable std::mutex RollupMutex;
-  std::map<uint64_t, size_t> LaneDepths;
-
-  std::mutex ReplyMutex; ///< Guards Sink + reply counters.
+  std::mutex ReplyMutex; ///< Guards Sink.
   std::function<void(const Reply &)> Sink;
 
   std::atomic<bool> Stopping{false};
@@ -313,19 +303,17 @@ private:
 
   std::thread Watchdog;
 
-  // Report counters. Relaxed atomics: read precisely only after
-  // serve() returns.
-  std::atomic<uint64_t> Received{0}, Sheds{0}, CommittedN{0}, FailedN{0},
-      DeadlineFailures{0}, DrainedInflight{0}, WatchdogEscalations{0},
-      Batches{0}, Replies{0}, AuditViolations{0};
+  // Report counters the client tallies do not hold. Relaxed atomics:
+  // read precisely only after serve() returns. Replies counts sink
+  // calls, the evidence clean() compares with the tallied submissions.
+  std::atomic<uint64_t> WatchdogEscalations{0}, Batches{0}, Replies{0},
+      AuditViolations{0};
 
-  // Pre-resolved obs counters (nullptr when obs is disabled).
+  // Pre-resolved obs counters (nullptr when obs is disabled); the
+  // terminal-reply counters are indexed by ReplyStatus.
   obs::Counter *CtrSubmissions = nullptr;
-  obs::Counter *CtrSheds = nullptr;
-  obs::Counter *CtrCommitted = nullptr;
-  obs::Counter *CtrDeadline = nullptr;
+  std::array<obs::Counter *, NumStatuses> CtrReplies{};
   obs::Counter *CtrEscalations = nullptr;
-  obs::Counter *CtrDrained = nullptr;
   obs::Counter *CtrBatches = nullptr;
 };
 

@@ -17,8 +17,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 using namespace janus;
@@ -184,6 +186,31 @@ TEST(JanusTest, CacheImportBetweenRunsReachesTheDetector) {
   B.runOutOfOrder(figure1Tasks(Work, 20));
   EXPECT_GT(B.detectorStats().CacheHits.load(), 0u);
   EXPECT_EQ(B.runStats().Retries.load(), Retries);
+}
+
+TEST(JanusTest, SatBudgetClauseClampsTheOptInSatCrossCheck) {
+  // A `satbudget` fault clause clamps the trainer's SAT conflict
+  // budget. Only the SAT cross-check reads that budget, and it runs
+  // only when Training.VerifyWithSat is on (it is off by default).
+  std::string Err;
+  std::optional<resilience::FaultPlan> Plan =
+      resilience::FaultPlan::parse("satbudget=4", &Err);
+  ASSERT_TRUE(Plan.has_value()) << Err;
+  JanusConfig Cfg;
+  Cfg.Faults = *Plan;
+
+  Janus Off(Cfg);
+  EXPECT_EQ(Off.config().Training.SatConflictBudget, 4u);
+  adt::TxCounter WorkOff = adt::TxCounter::create(Off.registry(), "work");
+  Off.train(figure1Tasks(WorkOff, 4));
+  EXPECT_EQ(Off.trainStats().SatCrossChecks, 0u);
+
+  Cfg.Training.VerifyWithSat = true;
+  Janus On(Cfg);
+  EXPECT_EQ(On.config().Training.SatConflictBudget, 4u);
+  adt::TxCounter WorkOn = adt::TxCounter::create(On.registry(), "work");
+  On.train(figure1Tasks(WorkOn, 4));
+  EXPECT_GT(On.trainStats().SatCrossChecks, 0u);
 }
 
 TEST(JanusTest, OnlineFallbackAvoidsRetriesWithoutTraining) {

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Tests for the tooling layer: pattern classification (the Table 5
-/// analysis), conflict explanations, online-training memoization, and
-/// the commit-order serializability oracle on both runtimes.
+/// analysis), conflict explanations, and the commit-order
+/// serializability oracle on both runtimes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -247,56 +247,6 @@ TEST(ExplainTest, AgreesWithOnlineDetector) {
         conflict::decomposeAll({Theirs})[Location(W.Work)]);
     EXPECT_EQ(E.Conflicting, Online) << "iteration " << Iter;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Online-training memoization.
-// ---------------------------------------------------------------------------
-
-TEST(MemoizationTest, MissesBecomeHits) {
-  ObjectRegistry Reg;
-  ObjectId Work = Reg.registerObject("work");
-  auto Cache = std::make_shared<conflict::CommutativityCache>();
-  conflict::SequenceDetectorConfig Cfg;
-  Cfg.OnlineFallback = true;
-  Cfg.MemoizeOnline = true;
-  conflict::SequenceDetector D(Cache, Cfg);
-
-  TxLog Mine{{Location(Work), LocOp::add(4)}};
-  auto Theirs = logOf({{Location(Work), LocOp::add(9)}});
-  EXPECT_EQ(Cache->size(), 0u);
-  EXPECT_FALSE(D.detectConflicts(Snapshot(), Mine, {Theirs}, Reg));
-  EXPECT_EQ(D.stats().CacheMisses.load(), 1u);
-  EXPECT_EQ(Cache->size(), 1u); // Memoized.
-  // The same query now hits (fresh operand values, same signatures).
-  TxLog Mine2{{Location(Work), LocOp::add(-2)}};
-  auto Theirs2 = logOf({{Location(Work), LocOp::add(5)}});
-  EXPECT_FALSE(D.detectConflicts(Snapshot(), Mine2, {Theirs2}, Reg));
-  EXPECT_EQ(D.stats().CacheMisses.load(), 1u);
-  EXPECT_EQ(D.stats().CacheHits.load(), 1u);
-}
-
-TEST(MemoizationTest, MemoizedVerdictsRemainSound) {
-  // Equal-writes memoization: the cached condition must distinguish
-  // equal from unequal values on later queries.
-  ObjectRegistry Reg;
-  ObjectId Pix = Reg.registerObject("pixel");
-  auto Cache = std::make_shared<conflict::CommutativityCache>();
-  conflict::SequenceDetectorConfig Cfg;
-  Cfg.OnlineFallback = true;
-  Cfg.MemoizeOnline = true;
-  conflict::SequenceDetector D(Cache, Cfg);
-
-  auto Check = [&](const char *A, const char *B) {
-    TxLog Mine{{Location(Pix), LocOp::write(Value::of(A))}};
-    auto Theirs = logOf({{Location(Pix), LocOp::write(Value::of(B))}});
-    return D.detectConflicts(Snapshot(), Mine, {Theirs}, Reg);
-  };
-  EXPECT_FALSE(Check("red", "red")); // Miss, memoized.
-  EXPECT_EQ(Cache->size(), 1u);
-  EXPECT_TRUE(Check("red", "blue"));  // Hit: condition false.
-  EXPECT_FALSE(Check("blue", "blue")); // Hit: condition true.
-  EXPECT_EQ(D.stats().CacheMisses.load(), 1u);
 }
 
 // ---------------------------------------------------------------------------

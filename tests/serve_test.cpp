@@ -2,20 +2,24 @@
 ///
 /// \file
 /// Tests for janus::serve — the long-running, overload-safe submission
-/// service — and its foundations: the MPSC submission queue, the
-/// cooperative cancellation tokens, the (client, submission) chaos
-/// coordinates, and the engine-level deadline plumbing.
+/// service — and its foundations: the cooperative cancellation tokens,
+/// the (client, submission) chaos coordinates, and the engine-level
+/// deadline plumbing.
 ///
 /// The load-bearing invariant throughout: every submission receives
 /// exactly one terminal reply (committed / failed / deadline /
 /// overloaded / cancelled), whatever the service is going through —
 /// overload, chaos injection, deadline storms, or a drain hard stop.
+/// The client lanes are the service's only queue, so the intake's own
+/// checks live here too: concurrent producers lose nothing and keep
+/// their per-client order, the queue cap counts every queued
+/// submission, and report(), rollupJson() and the serve.* counters
+/// agree status by status.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "janus/serve/Frontend.h"
 #include "janus/serve/Serve.h"
-#include "janus/serve/SubmissionQueue.h"
 #include "janus/stm/Detector.h"
 #include "janus/stm/ShardedRuntime.h"
 
@@ -23,10 +27,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,17 +53,19 @@ struct ServiceWorld {
   Location Counter;
   std::vector<stm::TaskFn> Pool;
 
-  explicit ServiceWorld(unsigned Threads = 2) : J(makeConfig(Threads)) {
+  explicit ServiceWorld(unsigned Threads = 2, bool Obs = false)
+      : J(makeConfig(Threads, Obs)) {
     Counter = Location(J.registry().registerObject("counter"));
     Location C = Counter;
     Pool.push_back([C](stm::TxContext &Tx) { Tx.add(C, 1); });
   }
 
-  static JanusConfig makeConfig(unsigned Threads) {
+  static JanusConfig makeConfig(unsigned Threads, bool Obs) {
     JanusConfig Cfg;
     Cfg.Engine = EngineKind::Threaded;
     Cfg.Detector = DetectorKind::WriteSet;
     Cfg.Threads = Threads;
+    Cfg.Obs.Enabled = Obs;
     return Cfg;
   }
 
@@ -97,56 +106,19 @@ struct ReplyLog {
   }
 };
 
+/// Sums \p Field over the "clients" array of a rollupJson() object.
+uint64_t sumClientField(const std::string &Json, const std::string &Field) {
+  const size_t Begin = Json.find("\"clients\":[");
+  const size_t End = Json.find("\"lanes\":[");
+  const std::string Key = "\"" + Field + "\":";
+  uint64_t Sum = 0;
+  for (size_t At = Json.find(Key, Begin); At < End;
+       At = Json.find(Key, At + 1))
+    Sum += std::stoull(Json.substr(At + Key.size()));
+  return Sum;
+}
+
 } // namespace
-
-// ---------------------------------------------------------------------------
-// MPSC submission queue.
-// ---------------------------------------------------------------------------
-
-TEST(MpscQueueTest, FifoSingleProducer) {
-  MpscQueue<int> Q;
-  EXPECT_EQ(Q.sizeApprox(), 0u);
-  for (int I = 0; I != 100; ++I)
-    Q.push(int(I));
-  EXPECT_EQ(Q.sizeApprox(), 100u);
-  int V = -1;
-  for (int I = 0; I != 100; ++I) {
-    ASSERT_TRUE(Q.pop(V));
-    EXPECT_EQ(V, I);
-  }
-  EXPECT_FALSE(Q.pop(V));
-  EXPECT_EQ(Q.sizeApprox(), 0u);
-}
-
-TEST(MpscQueueTest, ConcurrentProducersLoseNothing) {
-  MpscQueue<uint64_t> Q;
-  const int Producers = 4, PerProducer = 5000;
-  std::vector<std::thread> Ts;
-  for (int P = 0; P != Producers; ++P)
-    Ts.emplace_back([&Q, P] {
-      for (int I = 0; I != PerProducer; ++I)
-        Q.push(uint64_t(P) * PerProducer + I);
-    });
-
-  // Consume concurrently with production; per-producer order must hold.
-  std::vector<uint64_t> NextExpected(Producers, 0);
-  size_t Got = 0;
-  while (Got != size_t(Producers) * PerProducer) {
-    uint64_t V;
-    if (!Q.pop(V)) {
-      std::this_thread::yield();
-      continue;
-    }
-    ++Got;
-    uint64_t P = V / PerProducer, I = V % PerProducer;
-    EXPECT_EQ(I, NextExpected[P]) << "producer " << P << " reordered";
-    NextExpected[P] = I + 1;
-  }
-  for (std::thread &T : Ts)
-    T.join();
-  uint64_t V;
-  EXPECT_FALSE(Q.pop(V));
-}
 
 // ---------------------------------------------------------------------------
 // Cancellation tokens.
@@ -306,7 +278,7 @@ TEST(ServiceTest, QueueAndLaneCapsShedOverloaded) {
   int Admitted = 0;
   for (int I = 0; I != N; ++I)
     Admitted += S.submit(1, I, 0) ? 1 : 0;
-  EXPECT_LE(Admitted, 9); // sizeApprox may lag by one mid-push.
+  EXPECT_EQ(Admitted, 8);
   ServeReport Mid = S.report();
   EXPECT_EQ(Mid.Sheds, uint64_t(N - Admitted));
   EXPECT_EQ(Log.count(ReplyStatus::Overloaded), size_t(N - Admitted));
@@ -332,6 +304,102 @@ TEST(ServiceTest, QueueAndLaneCapsShedOverloaded) {
   S2.requestStop();
   S2.serve();
   EXPECT_TRUE(S2.report().clean());
+}
+
+TEST(ServiceTest, QueueCapCountsSubmissionsAlreadyInLanes) {
+  // One engine thread and one-task batches: while the first task
+  // blocks, the three submissions behind it wait in the lane, and they
+  // count against the queue cap.
+  ServiceWorld World(/*Threads=*/1);
+  std::atomic<bool> Started{false}, Release{false};
+  Location C = World.Counter;
+  World.Pool.push_back([C, &Started, &Release](stm::TxContext &Tx) {
+    Started.store(true);
+    while (!Release.load())
+      std::this_thread::yield();
+    Tx.add(C, 1);
+  });
+  ServeConfig SC;
+  SC.BatchMax = 1;
+  SC.QueueCap = 4;
+  SC.StallEscalateUs = 60000000; // The blocked task is no stall here.
+  Service S(World.J, World.Pool, SC);
+  ReplyLog Log;
+  S.setReplySink(Log.sink());
+
+  EXPECT_TRUE(S.submit(1, 0, /*TaskIndex=*/1)); // The blocking task.
+  for (int I = 1; I != 4; ++I)
+    EXPECT_TRUE(S.submit(1, I, 0));
+  std::thread Runner([&S] { S.serve(); });
+  while (!Started.load())
+    std::this_thread::yield();
+
+  // Three queued: exactly one more fits under the cap.
+  EXPECT_TRUE(S.submit(1, 4, 0));
+  EXPECT_FALSE(S.submit(1, 5, 0));
+  EXPECT_NE(S.rollupJson().find("\"queue_depth\":4"), std::string::npos)
+      << S.rollupJson();
+  Release.store(true);
+  S.requestStop();
+  Runner.join();
+
+  ServeReport R = S.report();
+  EXPECT_TRUE(R.clean());
+  EXPECT_EQ(R.Committed, 5u);
+  EXPECT_EQ(R.Sheds, 1u);
+  EXPECT_EQ(Log.count(ReplyStatus::Overloaded), 1u);
+  EXPECT_EQ(World.counterValue(), 5);
+}
+
+TEST(ServiceTest, ConcurrentProducersKeepPerClientOrder) {
+  // Four producers submit numbered work for their own client while the
+  // scheduler runs. Every task adds to its own cell, so nothing aborts
+  // and no pressure gate sheds; both caps are above the load.
+  ServiceWorld World(/*Threads=*/4);
+  const int Producers = 4, PerProducer = 2500;
+  ObjectId Cells = World.J.registry().registerObject("cells", "cells.elem");
+  World.Pool.clear();
+  for (int I = 0; I != Producers * PerProducer; ++I)
+    World.Pool.push_back(
+        [Cells, I](stm::TxContext &Tx) { Tx.add(Location(Cells, I), 1); });
+  ServeConfig SC;
+  SC.BatchMax = 16;
+  SC.QueueCap = Producers * PerProducer;
+  SC.LaneCap = PerProducer;
+  Service S(World.J, World.Pool, SC);
+  ReplyLog Log;
+  S.setReplySink(Log.sink());
+
+  std::thread Runner([&S] { S.serve(); });
+  std::vector<std::thread> Ts;
+  for (int P = 0; P != Producers; ++P)
+    Ts.emplace_back([&S, P] {
+      for (int I = 0; I != PerProducer; ++I)
+        EXPECT_TRUE(S.submit(uint64_t(P + 1), uint64_t(I),
+                             uint32_t(P * PerProducer + I)));
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  S.requestStop();
+  Runner.join();
+
+  ServeReport R = S.report();
+  EXPECT_TRUE(R.clean());
+  EXPECT_EQ(R.Committed, uint64_t(Producers * PerProducer));
+  EXPECT_EQ(R.Sheds, 0u);
+  EXPECT_TRUE(Log.exactlyOnce());
+  // Each client's replies arrive in its submission order.
+  std::vector<uint64_t> Next(Producers + 1, 0);
+  for (const Reply &Rp : Log.All) {
+    ASSERT_EQ(Rp.Status, ReplyStatus::Committed);
+    EXPECT_EQ(Rp.SubId, Next[Rp.Client]) << "client " << Rp.Client;
+    Next[Rp.Client] = Rp.SubId + 1;
+  }
+  for (int P = 1; P <= Producers; ++P)
+    EXPECT_EQ(Next[P], uint64_t(PerProducer));
+  for (int I = 0; I != Producers * PerProducer; ++I)
+    ASSERT_EQ(World.J.valueAt(Location(Cells, I)), Value::of(int64_t(1)))
+        << "cell " << I;
 }
 
 TEST(ServiceTest, ChaosPlanShedsDeterministically) {
@@ -478,6 +546,89 @@ TEST(ServiceTest, ExactlyOneReplyPerSubmissionUnderChaos) {
                 Log.count(ReplyStatus::Overloaded) +
                 Log.count(ReplyStatus::Cancelled),
             size_t(R.Replies));
+}
+
+// Every status at once — commits, exhausted throws, expired deadlines,
+// sheds and a drain hard stop — and the three places that count
+// replies agree on each: report(), the per-client tallies in
+// rollupJson(), and the serve.* obs counters.
+TEST(ServiceTest, ReportRollupAndCountersAgreeStatusByStatus) {
+  ServiceWorld World(/*Threads=*/2, /*Obs=*/true);
+  {
+    std::string Err;
+    std::optional<resilience::FaultPlan> Plan =
+        resilience::FaultPlan::parse("shed@1:3", &Err);
+    ASSERT_TRUE(Plan.has_value()) << Err;
+    World.J.setFaults(std::move(*Plan));
+  }
+  std::atomic<bool> Blocked{false}, Release{false};
+  Location C = World.Counter;
+  World.Pool.push_back( // 1: always throws.
+      [](stm::TxContext &) { throw std::runtime_error("boom"); });
+  World.Pool.push_back([C, &Blocked, &Release](stm::TxContext &Tx) {
+    Blocked.store(true); // 2: holds its batch until the hard stop.
+    while (!Release.load())
+      std::this_thread::yield();
+    Tx.add(C, 1);
+  });
+  ServeConfig SC;
+  SC.BatchMax = 1;
+  SC.DrainHardUs = 1000;
+  SC.WatchdogPeriodUs = 500;
+  SC.StallEscalateUs = 60000000;
+  Service S(World.J, World.Pool, SC);
+  ReplyLog Log;
+  S.setReplySink(Log.sink());
+
+  // One client's lane, served in order: three commits (the 3rd
+  // submission is shed by the plan), two failures, two expired
+  // deadlines, the blocker, then a backlog the hard stop cancels.
+  const uint32_t Tasks[] = {0, 0, 0, 0, 1, 1, 0, 0, 2, 0, 0, 0, 0};
+  for (uint64_t I = 0; I != std::size(Tasks); ++I)
+    S.submit(1, I, Tasks[I], /*DeadlineRelUs=*/(I == 6 || I == 7) ? 1 : 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::thread Runner([&S] { S.serve(); });
+  while (!Blocked.load())
+    std::this_thread::yield();
+  S.requestStop();
+  while (S.report().DrainedInTime)
+    std::this_thread::yield();
+  Release.store(true);
+  Runner.join();
+
+  ServeReport R = S.report();
+  EXPECT_TRUE(R.clean());
+  EXPECT_FALSE(R.DrainedInTime);
+  EXPECT_EQ(R.Received, std::size(Tasks));
+  const std::string Rollup = S.rollupJson();
+  obs::MetricsRegistry &M = World.J.observer()->metrics();
+  struct Row {
+    ReplyStatus Status;
+    uint64_t Report;
+    const char *RollupField;
+    const char *Counter;
+  };
+  for (const Row &Rw : {
+           Row{ReplyStatus::Committed, R.Committed, "committed",
+               "serve.committed"},
+           Row{ReplyStatus::Failed, R.Failed, "failed", "serve.failed"},
+           Row{ReplyStatus::Deadline, R.DeadlineFailures, "deadline",
+               "serve.deadline_failures"},
+           Row{ReplyStatus::Overloaded, R.Sheds, "sheds", "serve.sheds"},
+           Row{ReplyStatus::Cancelled, R.DrainedInflight, "cancelled",
+               "serve.drained_inflight"},
+       }) {
+    SCOPED_TRACE(toString(Rw.Status));
+    EXPECT_EQ(Rw.Report, Log.count(Rw.Status));
+    EXPECT_EQ(sumClientField(Rollup, Rw.RollupField), Rw.Report);
+    EXPECT_EQ(M.counter(Rw.Counter).load(), Rw.Report);
+  }
+  EXPECT_GE(R.Committed, 3u);
+  EXPECT_EQ(R.Failed, 2u);
+  EXPECT_EQ(R.DeadlineFailures, 2u);
+  EXPECT_EQ(R.Sheds, 1u);
+  EXPECT_GE(R.DrainedInflight, 4u);
+  EXPECT_EQ(M.counter("serve.submissions").load(), R.Received);
 }
 
 // ---------------------------------------------------------------------------

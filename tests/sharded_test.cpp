@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <thread>
 
 using namespace janus;
 using namespace janus::stm;
@@ -249,31 +250,56 @@ TEST(ShardedRuntimeTest, InitialStateIsRoutedAcrossShards) {
     EXPECT_EQ(snapshotValue(S, Location(Slots, I)).asInt(), 101 + I);
 }
 
-// Multi-shard reclamation stress: contended adds plus scattered writes
-// across every shard, several back-to-back runs on one runtime. Under
-// TSan this exercises the hazard-validated epoch recycling (pool reuse,
-// per-shard chains and the logs they carry).
+// Multi-shard reclamation stress: read-modify-writes of one cell per
+// shard, some tasks spanning two shards, several back-to-back runs on
+// one runtime. The yield between read and write keeps attempts walking
+// their windows across validation rounds while other commits recycle
+// the per-shard chains (and the logs they carry) behind them. A window
+// that lost a log misses a conflict, and the missed conflict loses an
+// increment; a recycled state inside a live window trips the walk's
+// density assertion. Under TSan this also exercises the hazard-validated
+// epoch recycling (pool reuse, per-shard chains).
 TEST(ShardedRuntimeTest, ReclamationStressKeepsStateConsistent) {
   ObjectRegistry Reg;
-  ObjectId Counter = Reg.registerObject("counter");
   ObjectId Slots = Reg.registerObject("slots", "slots.elem");
   WriteSetDetector D;
-  ShardedRuntime R(Reg, D, shardedConfig(4, 16));
+  const uint32_t NumShards = 16;
+  ShardedRuntime R(Reg, D, shardedConfig(8, NumShards));
 
-  const int N = 128, Rounds = 3;
-  for (int Round = 0; Round != Rounds; ++Round) {
-    std::vector<TaskFn> Tasks;
-    for (int I = 0; I != N; ++I)
-      Tasks.push_back([Counter, Slots, I](TxContext &Tx) {
-        Tx.add(Location(Counter), 1);
-        Tx.write(Location(Slots, I % 31), Value::of(int64_t(I)));
-        Tx.write(Location(Slots, 100 + (I * 7) % 53),
-                 Value::of(int64_t(I)));
-      });
-    R.run(Tasks);
+  std::vector<Location> Cells;
+  for (uint32_t S = 0; S != NumShards; ++S)
+    Cells.emplace_back(Slots, slotInShard(Slots, S, NumShards));
+  auto Increment = [](TxContext &Tx, Location L) {
+    Value V = Tx.read(L);
+    std::this_thread::yield(); // Let other attempts commit meanwhile.
+    Tx.write(L, Value::of((V.isAbsent() ? 0 : V.asInt()) + 1));
+  };
+
+  const int N = 256, Runs = 4;
+  std::vector<int64_t> Expected(NumShards, 0);
+  std::vector<TaskFn> Tasks;
+  for (int I = 0; I != N; ++I) {
+    const uint32_t A = I % NumShards;
+    // Every third task also increments a cell in a second shard.
+    const uint32_t B = I % 3 == 0 ? (A + 1 + I % 7) % NumShards : A;
+    Expected[A] += Runs;
+    if (B != A)
+      Expected[B] += Runs;
+    Tasks.push_back([&Cells, Increment, A, B](TxContext &Tx) {
+      Increment(Tx, Cells[A]);
+      if (B != A)
+        Increment(Tx, Cells[B]);
+    });
   }
-  EXPECT_EQ(snapshotValue(R.sharedState(), Location(Counter)).asInt(),
-            N * Rounds);
+  for (int Run = 0; Run != Runs; ++Run)
+    R.run(Tasks); // Recycling continues across runs.
+
+  Snapshot Final = R.sharedState();
+  for (uint32_t S = 0; S != NumShards; ++S)
+    EXPECT_EQ(snapshotValue(Final, Cells[S]), Value::of(Expected[S]))
+        << "cell in shard " << S;
+  EXPECT_GT(R.stats().CrossShardCommits.load(), 0u);
+  EXPECT_EQ(R.stats().Commits.load(), static_cast<uint64_t>(Runs * N));
   // Reclamation must have trimmed the per-shard histories well below
   // the total number of committed records.
   EXPECT_LT(R.historySize(), static_cast<size_t>(N));

@@ -1042,7 +1042,7 @@ int cmdServe(const CliOptions &Opts) {
   using SteadyClock = std::chrono::steady_clock;
 
   JanusConfig Cfg = configFor(Opts);
-  Cfg.RecordTrace = Opts.Audit; // Per-batch audits replay the trace.
+  Cfg.RecordTrace = Opts.Audit; // The service audits each recorded batch.
   std::unique_ptr<Workload> W;
   std::unique_ptr<Janus> Owned = setUp(Opts, Cfg, W);
   if (!Owned)
@@ -1064,7 +1064,6 @@ int cmdServe(const CliOptions &Opts) {
   SC.QueueCap = Opts.ServeQueueCap;
   SC.LaneCap = Opts.ServeLaneCap;
   SC.Ordered = W->ordered();
-  SC.Audit = Opts.Audit;
   SC.DrainHardUs = Opts.ServeDrainMs * 1000;
   SC.StopFlag = &GStopRequested;
   SC.MetricsPeriodUs = Opts.MetricsEveryMs * 1000;
