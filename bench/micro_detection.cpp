@@ -8,8 +8,9 @@
 ///
 /// Measures, on synthetic logs: write-set detection, sequence detection
 /// answered from the cache, the exact online sequence check, log
-/// decomposition, SAT equivalence queries, and snapshot costs
-/// (persistent map vs deep copy).
+/// decomposition (whole, and over the common domain detection uses),
+/// SAT equivalence queries, snapshot costs (persistent map vs deep
+/// copy), and applying a committed log to a snapshot (replay).
 ///
 /// The per-tier breakdown (DESIGN.md §14) is the trio
 /// BM_SequenceDetectSpec / BM_SequenceDetectCached /
@@ -24,6 +25,7 @@
 #include "janus/persist/PersistentMap.h"
 #include "janus/sat/PropFormula.h"
 #include "janus/stm/Detector.h"
+#include "janus/stm/Snapshot.h"
 #include "janus/support/Rng.h"
 
 #include <benchmark/benchmark.h>
@@ -195,6 +197,19 @@ static void BM_Decompose(benchmark::State &State) {
 }
 BENCHMARK(BM_Decompose)->Arg(4)->Arg(64);
 
+static void BM_CommonDomain(benchmark::State &State) {
+  // DECOMPOSE as detection runs it: one mine log against a three-log
+  // window, collecting only the locations both sides touch.
+  const int Locs = static_cast<int>(State.range(0));
+  DetectorFixture F(Locs, 8);
+  for (int64_t Salt : {11, 13})
+    F.Committed.push_back(
+        std::make_shared<const TxLog>(makeLog(F.Obj, Locs, 8, Salt)));
+  for (auto _ : State)
+    benchmark::DoNotOptimize(conflict::decomposeCommon(F.Mine, F.Committed));
+}
+BENCHMARK(BM_CommonDomain)->Arg(4)->Arg(64);
+
 static void BM_SymbolizeAbstract(benchmark::State &State) {
   symbolic::LocOpSeq Seq;
   for (int I = 0; I != State.range(0); ++I) {
@@ -235,6 +250,31 @@ static void BM_PersistentSnapshot(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PersistentSnapshot)->Arg(1000)->Arg(100000);
+
+static void BM_ApplyLog(benchmark::State &State) {
+  // Replay as the commit path runs it: a frozen copy of an N-entry
+  // store, then a 20-entry log shaped like a JGraphT-1 task (10 reads,
+  // 10 writes) applied in place through stm::applyLog.
+  ObjectRegistry Reg;
+  ObjectId Obj = Reg.registerObject("color");
+  const int N = static_cast<int>(State.range(0));
+  Snapshot Store;
+  for (int I = 0; I != N; ++I)
+    Store.setInPlace(Location(Obj, I), Value::of(int64_t(I % 7)));
+  TxLog Log;
+  for (int I = 0; I != 10; ++I) {
+    Location Loc(Obj, (I * 97) % N);
+    Log.push_back({Loc, LocOp::read(Value::of(int64_t(I % 7)))});
+    Log.push_back({Loc, LocOp::write(Value::of(int64_t(I)))});
+  }
+  for (auto _ : State) {
+    Snapshot Replayed = Store;
+    applyLog(Replayed, Log);
+    benchmark::DoNotOptimize(Replayed);
+  }
+  State.SetItemsProcessed(State.iterations() * Log.size());
+}
+BENCHMARK(BM_ApplyLog)->Arg(1000);
 
 static void BM_DeepCopySnapshot(benchmark::State &State) {
   // The naive alternative: deep-copying the store at transaction begin.

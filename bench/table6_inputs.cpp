@@ -33,8 +33,7 @@ void measure(Workload &W, const PayloadSpec &P, size_t &Tasks,
     stm::TxContext Tx(State, static_cast<uint32_t>(I + 1), J.registry());
     TaskSet[I](Tx);
     LogOps += Tx.log().size();
-    for (const stm::LogEntry &E : Tx.log())
-      State = stm::applyToSnapshot(State, E.Loc, E.Op);
+    stm::applyLog(State, Tx.log());
   }
 }
 

@@ -116,8 +116,7 @@ analysis::checkSerializability(const stm::AuditTrace &Trace,
       continue;
     }
     Tx.endAttempt();
-    for (const stm::LogEntry &Entry : Tx.log())
-      State = stm::applyToSnapshot(State, Entry.Loc, Entry.Op);
+    stm::applyLog(State, Tx.log());
     ++Report.TxReplayed;
     Taint.addLog(E->Tid, Tx.log(), Reg);
     if (E->Log)

@@ -8,7 +8,8 @@
 /// from the logged read/write sets alone — the dynamic context needed
 /// is the same as in write-set detection (paper §5.3). Private
 /// locations (accessed by only one of the two histories) are safely
-/// ignored by the caller via the domain intersection.
+/// ignored, so detection decomposes only the common domain
+/// (decomposeCommon); the whole decompositions serve the auditor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,23 @@ Decomposition decompose(const stm::TxLog &Log);
 /// order — into its per-location subsequences (Lemma 5.2 extends to
 /// multiple committing transactions).
 Decomposition decomposeAll(const std::vector<stm::TxLogRef> &Logs);
+
+/// One location of the common domain: the attempt's operations there
+/// and the committed window's, each in log (commit) order.
+struct CommonLocation {
+  Location Loc;
+  symbolic::LocOpSeq Mine;
+  symbolic::LocOpSeq Theirs;
+};
+
+/// DECOMPOSE over the common domain only (Figure 8 analyzes
+/// loc ∈ DOM(mt) ∩ DOM(mc)): every location both \p Mine and
+/// \p Window touch, in ascending location order, with the sequences
+/// decompose(Mine) and decomposeAll(Window) give there. A location only
+/// one side touched is never collected.
+std::vector<CommonLocation>
+decomposeCommon(const stm::TxLog &Mine,
+                const std::vector<stm::TxLogRef> &Window);
 
 } // namespace conflict
 } // namespace janus

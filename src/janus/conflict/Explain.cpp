@@ -52,23 +52,18 @@ conflict::explainConflict(const stm::Snapshot &Entry, const stm::TxLog &Mine,
   if (Committed.empty())
     return Out;
 
-  Decomposition MineD = decompose(Mine);
-  Decomposition TheirsD = decomposeAll(Committed);
-  for (const auto &[Loc, MySeq] : MineD) {
-    auto It = TheirsD.find(Loc);
-    if (It == TheirsD.end())
-      continue;
-    ChecksSpec Checks = checksFor(Reg.info(Loc.Obj).Relax);
-    Value EntryVal = stm::snapshotValue(Entry, Loc);
-    std::string Reason =
-        explainLocation(EntryVal, MySeq, It->second, Checks);
+  // The detector's own common domain, in its order.
+  for (const CommonLocation &C : decomposeCommon(Mine, Committed)) {
+    ChecksSpec Checks = checksFor(Reg.info(C.Loc.Obj).Relax);
+    Value EntryVal = stm::snapshotValue(Entry, C.Loc);
+    std::string Reason = explainLocation(EntryVal, C.Mine, C.Theirs, Checks);
     if (Reason.empty())
       continue;
     Out.Conflicting = true;
-    Out.Loc = Loc;
-    Out.LocationName = Reg.locationName(Loc);
-    Out.MineSeq = sequenceToString(MySeq);
-    Out.TheirsSeq = sequenceToString(It->second);
+    Out.Loc = C.Loc;
+    Out.LocationName = Reg.locationName(C.Loc);
+    Out.MineSeq = sequenceToString(C.Mine);
+    Out.TheirsSeq = sequenceToString(C.Theirs);
     Out.Reason = std::move(Reason);
     return Out;
   }

@@ -302,19 +302,13 @@ bool SequenceDetector::detectConflicts(const stm::Snapshot &Entry,
   if (Committed.empty())
     return false; // Validity: empty conflict history never conflicts.
 
-  Decomposition MineD = decompose(Mine);
-  Decomposition TheirsD = decomposeAll(Committed);
-
   // Private locations are safely ignored: only the common domain is
-  // analyzed (Figure 8: loc ∈ DOM(mt) ∩ DOM(mc)).
-  for (const auto &[Loc, MySeq] : MineD) {
-    auto It = TheirsD.find(Loc);
-    if (It == TheirsD.end())
-      continue;
+  // decomposed and analyzed (Figure 8: loc ∈ DOM(mt) ∩ DOM(mc)).
+  for (const CommonLocation &C : decomposeCommon(Mine, Committed)) {
     ++Stats.PairQueries;
-    const ObjectInfo &Info = Reg.info(Loc.Obj);
-    Value EntryVal = stm::snapshotValue(Entry, Loc);
-    if (locationConflicts(EntryVal, MySeq, It->second, Info)) {
+    const ObjectInfo &Info = Reg.info(C.Loc.Obj);
+    Value EntryVal = stm::snapshotValue(Entry, C.Loc);
+    if (locationConflicts(EntryVal, C.Mine, C.Theirs, Info)) {
       ++Stats.ConflictsFound;
       return true;
     }

@@ -5,8 +5,8 @@
 /// Figure 8).
 ///
 /// DETECTCONFLICTS decomposes the transaction's log and its conflict
-/// history into per-location sequences and tests each common location
-/// with CONFLICT. In practice CONFLICT consults the commutativity cache
+/// history into per-location sequences over their common domain only
+/// (decomposeCommon) and tests each common location with CONFLICT. In practice CONFLICT consults the commutativity cache
 /// populated during training: the sequences are symbolized and
 /// abstracted, the (location class, signature pair) is looked up, and
 /// the cached condition is evaluated against the concrete bindings and

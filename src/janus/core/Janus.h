@@ -127,7 +127,8 @@ public:
 
   /// Seeds the initial configuration of the shared state.
   void setInitial(const Location &Loc, Value V) {
-    State = sharedState().set(Loc, std::move(V));
+    sharedState(); // Brings State up to date with the engine.
+    State.setInPlace(Loc, std::move(V));
     StateAhead = true;
   }
 

@@ -20,7 +20,7 @@ TxLog model::evaluateScript(const Script &S, const Snapshot &Entry) {
       if (Out.Op.ReadResult.isInt())
         LastRead = Out.Op.ReadResult.asInt();
     }
-    Private = applyToSnapshot(Private, Out.Loc, Out.Op);
+    applyOp(Private, Out.Loc, Out.Op);
     Log.push_back(std::move(Out));
   }
   return Log;
@@ -75,9 +75,7 @@ private:
     ++Result.SchedulesExplored;
     Snapshot Replayed = InitialStore;
     for (uint32_t Tid : W.CommitOrder) {
-      TxLog Log = evaluateScript(Scripts[Tid - 1], Replayed);
-      for (const LogEntry &E : Log)
-        Replayed = applyToSnapshot(Replayed, E.Loc, E.Op);
+      applyLog(Replayed, evaluateScript(Scripts[Tid - 1], Replayed));
     }
     if (!(Replayed == W.Store))
       violation(Result, &ModelResult::SerializabilityHeld,
@@ -158,8 +156,7 @@ private:
       } else {
         ++Result.CommitEvents;
         Next.Tasks[I].Ph = TaskState::Phase::Committed;
-        for (const LogEntry &E : Log)
-          Next.Store = applyToSnapshot(Next.Store, E.Loc, E.Op);
+        applyLog(Next.Store, Log);
         Next.History.push_back(std::make_shared<const TxLog>(Log));
         Next.CommitOrder.push_back(static_cast<uint32_t>(I + 1));
         explore(Next);

@@ -81,6 +81,7 @@ void SocketFrontend::stop() {
   for (auto &C : ToJoin)
     if (C->Reader.joinable())
       C->Reader.join();
+  reapFinished();
   std::lock_guard<std::mutex> G(ConnMutex);
   for (auto &KV : Conns)
     ::close(KV.second->Fd);
@@ -97,6 +98,7 @@ void SocketFrontend::acceptLoop() {
         continue;
       break;
     }
+    reapFinished();
     auto C = std::make_shared<Conn>();
     C->Fd = Fd;
     {
@@ -113,27 +115,56 @@ void SocketFrontend::acceptLoop() {
 void SocketFrontend::readerLoop(std::shared_ptr<Conn> C) {
   std::string Buffer;
   char Chunk[4096];
-  for (;;) {
+  bool Open = true;
+  while (Open) {
     ssize_t N = ::read(C->Fd, Chunk, sizeof(Chunk));
     if (N <= 0)
       break;
     Buffer.append(Chunk, static_cast<size_t>(N));
     size_t Pos;
-    while ((Pos = Buffer.find('\n')) != std::string::npos) {
+    while (Open && (Pos = Buffer.find('\n')) != std::string::npos) {
       std::string Line = Buffer.substr(0, Pos);
       Buffer.erase(0, Pos + 1);
       if (!Line.empty() && Line.back() == '\r')
         Line.pop_back();
       if (Line == "quit") {
         ::shutdown(C->Fd, SHUT_RDWR);
-        return;
+        Open = false;
+      } else {
+        handleLine(*C, Line);
       }
-      handleLine(*C, Line);
     }
   }
-  // Leave the Conn entry in place: in-flight submissions from this
-  // connection still need their terminal replies routed (the writes
-  // will fail harmlessly on the closed fd). stop() reaps everything.
+  // In-flight submissions from this connection still need their
+  // terminal replies routed (the writes fail harmlessly once the peer
+  // has gone); the last of them finishes the connection.
+  std::lock_guard<std::mutex> G(ConnMutex);
+  C->ReaderDone = true;
+  finishIfDone(C);
+}
+
+void SocketFrontend::finishIfDone(const std::shared_ptr<Conn> &C) {
+  if (C->ReaderDone && C->Outstanding == 0 && Conns.erase(C->ClientId))
+    Finished.push_back(C);
+}
+
+void SocketFrontend::reapFinished() {
+  std::vector<std::shared_ptr<Conn>> Done;
+  {
+    std::lock_guard<std::mutex> G(ConnMutex);
+    Done.swap(Finished);
+  }
+  for (const std::shared_ptr<Conn> &C : Done) {
+    if (C->Reader.joinable())
+      C->Reader.join();
+    ::close(C->Fd);
+    S.retireClient(C->ClientId);
+  }
+}
+
+size_t SocketFrontend::connectionsHeld() const {
+  std::lock_guard<std::mutex> G(ConnMutex);
+  return Conns.size() + Finished.size();
 }
 
 void SocketFrontend::handleLine(Conn &C, const std::string &Line) {
@@ -161,7 +192,12 @@ void SocketFrontend::handleLine(Conn &C, const std::string &Line) {
     }
     In >> DeadlineMs; // Optional; 0 (no deadline) when absent.
     // The terminal reply — Committed or shed Overloaded alike — arrives
-    // through route(); nothing more to write here.
+    // through route(), possibly before submit() returns, so it is
+    // counted outstanding first.
+    {
+      std::lock_guard<std::mutex> G(ConnMutex);
+      ++C.Outstanding;
+    }
     S.submit(C.ClientId, SubId, TaskIndex,
              DeadlineMs > 0 ? DeadlineMs * 1000 : 0);
     return;
@@ -183,6 +219,11 @@ bool SocketFrontend::route(const Reply &R) {
   if (!R.Detail.empty())
     Line += " " + R.Detail;
   writeLine(*C, Line);
+  // Counted after the write: once nothing is outstanding, no route()
+  // still holds this connection, and reaping may close its socket.
+  std::lock_guard<std::mutex> G(ConnMutex);
+  --C->Outstanding;
+  finishIfDone(C);
   return true;
 }
 

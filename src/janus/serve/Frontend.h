@@ -23,6 +23,10 @@
 ///
 /// Each connection is its own Service client id (assigned at accept),
 /// so per-client admission caps and DRR fairness apply per connection.
+/// A connection is finished once its reader has ended and its last
+/// reply has been routed; the accept thread (or stop()) then joins the
+/// reader, closes the socket and retires the client from the Service,
+/// so a long-running service holds only the connections still open.
 /// Terminal replies arrive asynchronously from the scheduler thread and
 /// may interleave with command responses; a per-connection write mutex
 /// keeps lines whole.
@@ -80,18 +84,30 @@ public:
 
   uint64_t connectionsAccepted() const { return Accepted; }
 
+  /// Connections not yet reaped: the open ones plus the finished ones
+  /// the next accept (or stop()) reaps.
+  size_t connectionsHeld() const;
+
 private:
   struct Conn {
     int Fd = -1;
     uint64_t ClientId = 0;
     std::mutex WriteMutex;
     std::thread Reader;
+    // Guarded by ConnMutex.
+    bool ReaderDone = false;
+    uint64_t Outstanding = 0; ///< Submissions whose reply is not routed.
   };
 
   void acceptLoop();
   void readerLoop(std::shared_ptr<Conn> C);
   void handleLine(Conn &C, const std::string &Line);
   static void writeLine(Conn &C, const std::string &Line);
+  /// Moves \p C from Conns to Finished once its reader has ended and
+  /// nothing is outstanding. Caller holds ConnMutex.
+  void finishIfDone(const std::shared_ptr<Conn> &C);
+  /// Joins, closes and retires every finished connection.
+  void reapFinished();
 
   Service &S;
   std::string SocketPath;
@@ -101,8 +117,9 @@ private:
   std::atomic<bool> Running{false};
   std::thread Acceptor;
 
-  std::mutex ConnMutex; ///< Guards Conns (accept vs route vs stop).
+  mutable std::mutex ConnMutex; ///< Guards Conns, Finished, Conn fields.
   std::map<uint64_t, std::shared_ptr<Conn>> Conns;
+  std::vector<std::shared_ptr<Conn>> Finished;
   uint64_t NextClientId = ClientIdBase;
   uint64_t Accepted = 0;
 };

@@ -137,6 +137,19 @@ bool Service::submit(uint64_t Client, uint64_t SubId, uint32_t TaskIndex,
   return false;
 }
 
+void Service::retireClient(uint64_t Client) {
+  std::lock_guard<std::mutex> G(AdmMutex);
+  auto It = Clients.find(Client);
+  if (It == Clients.end() || It->second.Pending != 0)
+    return;
+  const ClientRecord &C = It->second;
+  ++RetiredClients;
+  RetiredReceived += C.Seq;
+  for (size_t I = 0; I != NumStatuses; ++I)
+    RetiredTally[I] += C.Tally[I];
+  Clients.erase(It);
+}
+
 void Service::requestStop() {
   bool Expected = false;
   if (Stopping.compare_exchange_strong(Expected, true,
@@ -457,15 +470,21 @@ ServeReport Service::report() const {
   ServeReport R;
   {
     std::lock_guard<std::mutex> G(AdmMutex);
+    R.Received = RetiredReceived;
+    std::array<uint64_t, NumStatuses> Tally = RetiredTally;
     for (const auto &KV : Clients) {
-      const ClientRecord &C = KV.second;
-      R.Received += C.Seq;
-      R.Committed += C.count(ReplyStatus::Committed);
-      R.Failed += C.count(ReplyStatus::Failed);
-      R.DeadlineFailures += C.count(ReplyStatus::Deadline);
-      R.Sheds += C.count(ReplyStatus::Overloaded);
-      R.DrainedInflight += C.count(ReplyStatus::Cancelled);
+      R.Received += KV.second.Seq;
+      for (size_t I = 0; I != NumStatuses; ++I)
+        Tally[I] += KV.second.Tally[I];
     }
+    auto Count = [&Tally](ReplyStatus S) {
+      return Tally[static_cast<size_t>(S)];
+    };
+    R.Committed = Count(ReplyStatus::Committed);
+    R.Failed = Count(ReplyStatus::Failed);
+    R.DeadlineFailures = Count(ReplyStatus::Deadline);
+    R.Sheds = Count(ReplyStatus::Overloaded);
+    R.DrainedInflight = Count(ReplyStatus::Cancelled);
   }
   R.WatchdogEscalations =
       WatchdogEscalations.load(std::memory_order_relaxed);
@@ -481,7 +500,8 @@ std::string Service::rollupJson() const {
   W.beginObject();
   W.field("schema_version", JsonSchemaVersion);
   std::lock_guard<std::mutex> G(AdmMutex);
-  uint64_t Sheds = 0, Deadlines = 0;
+  uint64_t Sheds = RetiredTally[static_cast<size_t>(ReplyStatus::Overloaded)];
+  uint64_t Deadlines = RetiredTally[static_cast<size_t>(ReplyStatus::Deadline)];
   W.key("clients");
   W.beginArray();
   for (const auto &[Client, C] : Clients) {
@@ -508,6 +528,7 @@ std::string Service::rollupJson() const {
     W.endObject();
   }
   W.endArray();
+  W.field("retired_clients", RetiredClients);
   W.field("queue_depth", static_cast<uint64_t>(Queued));
   W.field("watchdog_level", static_cast<uint64_t>(Board.EscalationLevel.load(
                                 std::memory_order_acquire)));

@@ -218,6 +218,15 @@ public:
 
   bool stopping() const { return Stopping.load(std::memory_order_acquire); }
 
+  /// Forgets \p Client, whose submissions are all answered: its
+  /// tallies fold into one aggregate that report() and rollupJson()
+  /// still count, and its record (lane, sequence number) goes. For a
+  /// transport whose client ids are never reused once their connection
+  /// has closed; in-process ids stay, so their chaos coordinates keep
+  /// counting. A client that still has a submission pending keeps its
+  /// record.
+  void retireClient(uint64_t Client);
+
   /// Live pressure signals (shared with the contention manager).
   resilience::PressureBoard &pressure() { return Board; }
 
@@ -277,9 +286,13 @@ private:
   resilience::FaultPlan ServicePlan;
   resilience::PressureBoard Board;
 
-  mutable std::mutex AdmMutex; ///< Guards Clients and Queued.
+  mutable std::mutex AdmMutex; ///< Guards Clients, Queued and Retired*.
   std::map<uint64_t, ClientRecord> Clients;
   size_t Queued = 0; ///< Submissions in all lanes (QueueCap counts these).
+  /// Retired clients, folded: how many, their submissions and their
+  /// terminal replies by ReplyStatus.
+  uint64_t RetiredClients = 0, RetiredReceived = 0;
+  std::array<uint64_t, NumStatuses> RetiredTally{};
 
   std::mutex ReplyMutex; ///< Guards Sink.
   std::function<void(const Reply &)> Sink;

@@ -229,7 +229,7 @@ public:
         T.Entry = V.Entry;
       else
         V.Entry.forEach([&T](const Location &L, const Value &Val) {
-          T.Entry = T.Entry.set(L, Val);
+          T.Entry.setInPlace(L, Val);
         });
     }
     Out.push_back(std::move(T));

@@ -118,7 +118,7 @@ void ShardedRuntime::setInitialState(Snapshot S) {
   else
     S.forEach([this, &Parts](const Location &L, const Value &V) {
       uint32_t Idx = shardIndexOf(L, NumShards);
-      Parts[Idx] = Parts[Idx].set(L, V);
+      Parts[Idx].setInPlace(L, V);
     });
   ShardState *Cur[MaxShards] = {};
   lockShards(AllShards, Cur);
@@ -138,7 +138,7 @@ Snapshot ShardedRuntime::sharedState() const {
   Snapshot Out = Cur[0]->State;
   for (uint32_t I = 1; I != NumShards; ++I)
     Cur[I]->State.forEach([&Out](const Location &L, const Value &V) {
-      Out = Out.set(L, V);
+      Out.setInPlace(L, V);
     });
   unlockShards(AllShards);
   return Out;
@@ -335,9 +335,13 @@ void ShardedRuntime::finishCommit(const AttemptEnd &End, uint64_t Acquired,
   releaseAttempt(Worker, Acquired);
 }
 
-void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
+void ShardedRuntime::waitForTurn(uint32_t Tid, uint32_t Attempt,
+                                 unsigned Lane, WorkerSlot &Worker,
+                                 bool Sampled) {
   if (!Config.Ordered)
     return;
+  obs::Observer *const O = obs::janusObs(Config.Obs);
+  const double EntryTs = Sampled ? O->nowUs() : 0.0;
   // Task Tid's turn comes when the global Clock reaches OrderBase + Tid
   // (every preceding task committed exactly one tick — speculative,
   // serial, empty or placeholder alike). Post the awaited turn under
@@ -345,14 +349,19 @@ void ShardedRuntime::waitForTurn(uint32_t Tid, WorkerSlot &Worker) {
   // Clock to Target: it bumps the Clock first, then takes OrderMutex to
   // look for us.
   uint64_t Target = OrderBase.load(std::memory_order_acquire) + Tid;
-  std::unique_lock<std::mutex> Guard(OrderMutex);
-  if (Clock.load(std::memory_order_acquire) < Target) {
+  {
+    std::unique_lock<std::mutex> Guard(OrderMutex);
+    if (Clock.load(std::memory_order_acquire) >= Target)
+      return;
     Worker.AwaitedTurn = Target;
     Worker.TurnCv.wait(Guard, [this, Target]() {
       return Clock.load(std::memory_order_acquire) >= Target;
     });
     Worker.AwaitedTurn = 0;
   }
+  if (Sampled)
+    O->span(Lane, "turn-wait", Tid, Attempt, EntryTs, O->nowUs() - EntryTs,
+            "clock", static_cast<double>(Target));
 }
 
 void ShardedRuntime::notifySuccessor(uint64_t CommitTime) {
@@ -453,7 +462,7 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
   }
 
   // Ordered mode: wait for all preceding tasks to commit.
-  waitForTurn(Tid, Worker);
+  waitForTurn(Tid, Attempt, Lane, Worker, Sampled);
 
   if (uint64_t Delay = Config.Faults.commitDelay(Tid, Attempt)) {
     ++Stats.FaultsInjected;
@@ -550,8 +559,7 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
         A.Replayed = Worker.Views[S].Private;
       } else {
         A.Replayed = A.Now->State;
-        for (const LogEntry &E : *A.Log)
-          A.Replayed = applyToSnapshot(A.Replayed, E.Loc, E.Op);
+        applyLog(A.Replayed, *A.Log);
       }
       A.ReplayedVersion = NowVer;
     }
@@ -598,7 +606,7 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
 
   // Ordered mode: wait for the turn *before* taking any lock — the
   // predecessor's commit needs its shard mutexes.
-  waitForTurn(Tid, Worker);
+  waitForTurn(Tid, Attempt, Lane, Worker, Sampled);
 
   // Lock *every* shard: a strict superset of any speculative
   // committer's lock set, in the same global order, so no deadlock —

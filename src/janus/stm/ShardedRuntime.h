@@ -405,8 +405,10 @@ private:
                     double LatencyTs);
 
   /// Blocks the calling worker while it waits for its ordered-mode
-  /// commit turn (Clock >= OrderBase + Tid). No-op when unordered.
-  void waitForTurn(uint32_t Tid, WorkerSlot &Worker);
+  /// commit turn (Clock >= OrderBase + Tid). No-op when unordered. A
+  /// sampled attempt that does wait records a "turn-wait" span.
+  void waitForTurn(uint32_t Tid, uint32_t Attempt, unsigned Lane,
+                   WorkerSlot &Worker, bool Sampled);
   /// Wakes the ordered-mode waiter (if any) whose turn the commit at
   /// \p CommitTime made eligible. No-op when unordered.
   void notifySuccessor(uint64_t CommitTime);

@@ -40,8 +40,7 @@ double SimRuntime::sequentialBaseline(const std::vector<TaskFn> &Tasks) {
     Time += Tx.virtualCost() +
             Config.Costs.SeqPerOp * static_cast<double>(Tx.log().size());
     if (Ok)
-      for (const LogEntry &E2 : Tx.log())
-        State = applyToSnapshot(State, E2.Loc, E2.Op);
+      applyLog(State, Tx.log());
   }
   return Time;
 }
@@ -243,8 +242,7 @@ SimOutcome SimRuntime::run(const std::vector<TaskFn> &Tasks) {
         CT.Mode == CommitMode::Speculative ? Att.BeginSeq : CommitSeq;
     ++CommitSeq;
     CommitOrder.push_back(Tid);
-    for (const LogEntry &E : *Att.Log)
-      Shared = applyToSnapshot(Shared, E.Loc, E.Op);
+    applyLog(Shared, *Att.Log);
     History.push_back(Att.Log);
     Life->report(AttemptEnd{Tid, CT.AttemptNo, Core, Abort::None, CT.Mode,
                             Begin, CommitSeq, &Att.Log, &Att.Entry},
@@ -361,9 +359,9 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     };
     Snapshot E = StateAt[MinStamp];
     for (uint64_t K = MinStamp + 1; K <= MaxStamp; ++K)
-      for (const LogEntry &LE : *History[K - 1])
-        if (StampOf(shardIndexOf(LE.Loc, Sched.Shards)) >= K)
-          E = applyToSnapshot(E, LE.Loc, LE.Op);
+      applyLog(E, *History[K - 1], [&](const LogEntry &LE) {
+        return StampOf(shardIndexOf(LE.Loc, Sched.Shards)) >= K;
+      });
     return E;
   };
 
@@ -450,8 +448,7 @@ SimOutcome SimRuntime::runReplay(const std::vector<TaskFn> &Tasks) {
     ++CommitSeq;
     CommitOrder.push_back(S.Tid);
     Snapshot Next = StateAt.back();
-    for (const LogEntry &LE : *Log)
-      Next = applyToSnapshot(Next, LE.Loc, LE.Op);
+    applyLog(Next, *Log);
     StateAt.push_back(Next);
     Shared = std::move(Next);
     History.push_back(Log);

@@ -34,15 +34,13 @@ Value TxContext::read(const Location &Loc) {
 
 void TxContext::write(const Location &Loc, Value V) {
   JANUS_CHECK_ACTIVE("TxContext::write");
-  Snapshot &P = stateFor(Loc);
-  P = P.set(Loc, V);
+  stateFor(Loc).setInPlace(Loc, V);
   Log.push_back(LogEntry{Loc, LocOp::write(std::move(V))});
 }
 
 void TxContext::add(const Location &Loc, int64_t Delta) {
   JANUS_CHECK_ACTIVE("TxContext::add");
   LocOp Op = LocOp::add(Delta);
-  Snapshot &P = stateFor(Loc);
-  P = applyToSnapshot(P, Loc, Op);
+  applyOp(stateFor(Loc), Loc, Op);
   Log.push_back(LogEntry{Loc, std::move(Op)});
 }

@@ -40,8 +40,7 @@ void Trainer::trainOn(stm::Snapshot &State,
       Logs.push_back(stm::TxLog{});
       continue;
     }
-    for (const stm::LogEntry &Entry : Tx.log())
-      State = stm::applyToSnapshot(State, Entry.Loc, Entry.Op);
+    stm::applyLog(State, Tx.log());
     Logs.push_back(Tx.log());
   }
 

@@ -175,7 +175,7 @@ bool modelConfirms(const conflict::CacheKey &Key, const Condition &Cond,
 
   stm::Snapshot Initial;
   if (!Cex.Entry.isAbsent())
-    Initial = Initial.set(Loc, Cex.Entry);
+    Initial.setInPlace(Loc, Cex.Entry);
 
   model::ModelResult R = model::exploreProtocol(
       {*STheirs, *SMine}, Detector, Reg, Initial);

@@ -32,10 +32,7 @@ struct Fixture {
   TxContext fresh() { return TxContext(State, 1, Reg); }
 
   /// Applies a context's log to the fixture state (simulating commit).
-  void commit(const TxContext &Tx) {
-    for (const stm::LogEntry &E : Tx.log())
-      State = stm::applyToSnapshot(State, E.Loc, E.Op);
-  }
+  void commit(const TxContext &Tx) { stm::applyLog(State, Tx.log()); }
 };
 
 } // namespace

@@ -905,3 +905,108 @@ TEST(SpecDispatchTest, SpecVerdictsMatchOnlineReference) {
           << sequenceToString(Mine) << " vs " << sequenceToString(Theirs);
     }
 }
+
+// ---------------------------------------------------------------------------
+// DECOMPOSE over the common domain.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A random log of up to 8 accesses over \p Pool.
+TxLog randomLog(Rng &R, const std::vector<Location> &Pool) {
+  TxLog Log;
+  for (int I = 0, E = static_cast<int>(R.below(9)); I != E; ++I) {
+    const Location &Loc = Pool[R.below(Pool.size())];
+    switch (R.below(3)) {
+    case 0:
+      Log.push_back({Loc, LocOp::read(Value::of(R.range(0, 3)))});
+      break;
+    case 1:
+      Log.push_back({Loc, LocOp::add(R.range(-2, 2))});
+      break;
+    default:
+      Log.push_back({Loc, LocOp::write(Value::of(R.range(0, 3)))});
+      break;
+    }
+  }
+  return Log;
+}
+
+} // namespace
+
+TEST(DecomposeTest, CommonDomainKeepsOnlyLocationsBothSidesTouch) {
+  ObjectId A{1}, B{2};
+  TxLog Mine{{Location(B), LocOp::add(1)},
+             {Location(A, 7), LocOp::read()},
+             {Location(A), LocOp::write(Value::of(1))},
+             {Location(B), LocOp::add(2)}};
+  auto L1 = logOf({{Location(B), LocOp::add(5)},
+                   {Location(A, 3), LocOp::read()}});
+  auto L2 = logOf({{Location(A), LocOp::read()}, {Location(B), LocOp::add(6)}});
+  std::vector<CommonLocation> C = decomposeCommon(Mine, {L1, L2});
+  ASSERT_EQ(C.size(), 2u);
+  EXPECT_EQ(C[0].Loc, Location(A)); // Ascending location order.
+  EXPECT_EQ(C[0].Mine, (LocOpSeq{LocOp::write(Value::of(1))}));
+  EXPECT_EQ(C[0].Theirs, (LocOpSeq{LocOp::read()}));
+  EXPECT_EQ(C[1].Loc, Location(B));
+  EXPECT_EQ(C[1].Mine, (LocOpSeq{LocOp::add(1), LocOp::add(2)}));
+  EXPECT_EQ(C[1].Theirs, (LocOpSeq{LocOp::add(5), LocOp::add(6)}));
+  EXPECT_TRUE(decomposeCommon(Mine, {}).empty());
+  EXPECT_TRUE(decomposeCommon({}, {L1, L2}).empty());
+}
+
+class CommonDomainProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CommonDomainProperty, MatchesWholeDecompositionsAndExplain) {
+  // On random logs and windows, decomposeCommon is exactly the part of
+  // decompose(Mine) and decomposeAll(Window) on locations both contain,
+  // in the same order; and the detector (exact online tier) and
+  // explainConflict, which both iterate it, reach the same verdict.
+  Rng R(GetParam());
+  ObjectRegistry Reg;
+  std::vector<Location> Pool;
+  const RelaxationSpec Relax[] = {{}, {true, false}, {false, true}};
+  for (int I = 0; I != 3; ++I) {
+    ObjectId O = Reg.registerObject("o" + std::to_string(I), "", Relax[I]);
+    Pool.emplace_back(O);
+    Pool.emplace_back(O, int64_t(0));
+    Pool.emplace_back(O, int64_t(2));
+    Pool.emplace_back(O, std::string("k"));
+  }
+  SequenceDetectorConfig Cfg;
+  Cfg.OnlineFallback = true;
+  SequenceDetector D(std::make_shared<CommutativityCache>(), Cfg);
+  for (int Iter = 0; Iter != 300; ++Iter) {
+    TxLog Mine = randomLog(R, Pool);
+    std::vector<TxLogRef> Window;
+    for (int I = 0, E = static_cast<int>(R.below(4)); I != E; ++I)
+      Window.push_back(std::make_shared<const TxLog>(randomLog(R, Pool)));
+
+    Decomposition MineD = decompose(Mine);
+    Decomposition TheirsD = decomposeAll(Window);
+    std::vector<CommonLocation> Common = decomposeCommon(Mine, Window);
+    size_t At = 0;
+    for (const auto &[Loc, Seq] : MineD) {
+      auto It = TheirsD.find(Loc);
+      if (It == TheirsD.end())
+        continue;
+      ASSERT_LT(At, Common.size()) << "iteration " << Iter;
+      EXPECT_TRUE(Common[At].Loc == Loc) << "iteration " << Iter;
+      EXPECT_EQ(Common[At].Mine, Seq) << "iteration " << Iter;
+      EXPECT_EQ(Common[At].Theirs, It->second) << "iteration " << Iter;
+      ++At;
+    }
+    EXPECT_EQ(At, Common.size()) << "iteration " << Iter;
+
+    stm::Snapshot Entry;
+    for (const Location &Loc : Pool)
+      if (R.chance(1, 2))
+        Entry.setInPlace(Loc, Value::of(R.range(0, 3)));
+    EXPECT_EQ(D.detectConflicts(Entry, Mine, Window, Reg),
+              explainConflict(Entry, Mine, Window, Reg).Conflicting)
+        << "iteration " << Iter;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CommonDomainProperty,
+                         ::testing::Values(2, 13, 29, 41));

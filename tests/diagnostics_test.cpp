@@ -263,8 +263,7 @@ Snapshot replayInOrder(const ObjectRegistry &Reg, Snapshot Initial,
   for (uint32_t Tid : Order) {
     TxContext Tx(State, Tid, Reg);
     Tasks[Tid - 1](Tx);
-    for (const LogEntry &E : Tx.log())
-      State = stm::applyToSnapshot(State, E.Loc, E.Op);
+    stm::applyLog(State, Tx.log());
   }
   return State;
 }

@@ -182,8 +182,7 @@ Snapshot replay(const ObjectRegistry &Reg, Snapshot State,
   for (uint32_t Tid : Order) {
     TxContext Tx(State, Tid, Reg);
     Tasks[Tid - 1](Tx);
-    for (const LogEntry &E : Tx.log())
-      State = stm::applyToSnapshot(State, E.Loc, E.Op);
+    stm::applyLog(State, Tx.log());
   }
   return State;
 }

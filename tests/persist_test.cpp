@@ -2,7 +2,9 @@
 ///
 /// \file
 /// Unit and property tests for the fully persistent hash map used for
-/// O(1) shared-state snapshots (paper §4.1 "Versioning").
+/// O(1) shared-state snapshots (paper §4.1 "Versioning"), including its
+/// in-place writes: no copy, moved-to or derived version, and no
+/// version another thread reads, ever sees one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 
 using namespace janus;
 using janus::persist::PersistentMap;
@@ -80,6 +86,88 @@ TEST(PersistentMapTest, SnapshotIsO1AndIndependent) {
   }
 }
 
+TEST(PersistentMapTest, InPlaceWritesKeepCopiesMovesAndDerivedValues) {
+  // The original keeps writing in place; a copy, a moved-to value and a
+  // set()-derived value, each taken between its writes, keep exactly
+  // the contents they had.
+  PersistentMap<int, int> Orig;
+  for (int I = 0; I != 300; ++I)
+    Orig.setInPlace(I, I);
+  const PersistentMap<int, int> Copy = Orig;
+  for (int I = 0; I != 300; ++I)
+    Orig.setInPlace(I, I + 1000);
+  PersistentMap<int, int> Moved = std::move(Orig);
+  Orig = Moved;
+  for (int I = 0; I != 300; ++I)
+    Orig.setInPlace(I, I + 2000);
+  const PersistentMap<int, int> Derived = Orig.set(300, -1);
+  for (int I = 0; I != 301; ++I)
+    Orig.setInPlace(I, I + 3000);
+
+  ASSERT_EQ(Copy.size(), 300u);
+  ASSERT_EQ(Moved.size(), 300u);
+  ASSERT_EQ(Derived.size(), 301u);
+  ASSERT_EQ(Orig.size(), 301u);
+  for (int I = 0; I != 300; ++I) {
+    EXPECT_EQ(*Copy.find(I), I);
+    EXPECT_EQ(*Moved.find(I), I + 1000);
+    EXPECT_EQ(*Derived.find(I), I + 2000);
+  }
+  EXPECT_EQ(*Derived.find(300), -1);
+  for (int I = 0; I != 301; ++I)
+    EXPECT_EQ(*Orig.find(I), I + 3000);
+}
+
+TEST(PersistentMapTest, PublishedVersionsStayIntactUnderConcurrentWrites) {
+  // The engine's pattern: one writer builds each version in place from
+  // the published one and publishes it by move; readers copy whatever
+  // is published and read it while the writer goes on writing. Every
+  // version sets all keys to its number, so a reader seeing mixed
+  // values saw an in-place write reach a shared node (and TSan sees
+  // the race).
+  constexpr int Keys = 200, Versions = 300;
+  using Map = PersistentMap<int, int>;
+  std::mutex PublishMutex;
+  auto Published = std::make_shared<const Map>();
+  std::atomic<bool> Done{false};
+
+  auto Reader = [&] {
+    int Last = -1;
+    while (!Done.load(std::memory_order_acquire)) {
+      std::shared_ptr<const Map> P;
+      {
+        std::lock_guard<std::mutex> G(PublishMutex);
+        P = Published;
+      }
+      const Map Copy = *P;
+      if (Copy.empty())
+        continue;
+      const int V = *Copy.find(0);
+      EXPECT_GE(V, Last);
+      Last = V;
+      for (int K = 0; K != Keys; ++K)
+        ASSERT_EQ(*Copy.find(K), V) << "key " << K;
+    }
+  };
+  std::thread R1(Reader), R2(Reader);
+  for (int V = 0; V != Versions; ++V) {
+    Map Next;
+    {
+      std::lock_guard<std::mutex> G(PublishMutex);
+      Next = *Published;
+    }
+    for (int K = 0; K != Keys; ++K)
+      Next.setInPlace(K, V);
+    auto P = std::make_shared<const Map>(std::move(Next));
+    std::lock_guard<std::mutex> G(PublishMutex);
+    Published = std::move(P);
+  }
+  Done.store(true, std::memory_order_release);
+  R1.join();
+  R2.join();
+  EXPECT_EQ(*Published->find(Keys - 1), Versions - 1);
+}
+
 TEST(PersistentMapTest, EqualityIsStructural) {
   PersistentMap<int, int> A, B;
   A = A.set(1, 1).set(2, 2);
@@ -132,6 +220,22 @@ TEST(PersistentMapTest, HashCollisionsAreHandled) {
     EXPECT_EQ(M.contains(I), I % 2 == 1);
 }
 
+TEST(PersistentMapTest, InPlaceWritesSplitCollidingLeaves) {
+  // Colliding hashes grow buckets and split leaves under in-place
+  // writes exactly as under persistent ones.
+  PersistentMap<int, int, BadHash> M;
+  for (int I = 0; I != 64; ++I)
+    M.setInPlace(I, I);
+  const PersistentMap<int, int, BadHash> Before = M;
+  for (int I = 0; I != 64; ++I)
+    M.setInPlace(I, -I);
+  ASSERT_EQ(M.size(), 64u);
+  for (int I = 0; I != 64; ++I) {
+    EXPECT_EQ(*M.find(I), -I);
+    EXPECT_EQ(*Before.find(I), I);
+  }
+}
+
 TEST(PersistentMapTest, StringKeys) {
   PersistentMap<std::string, int> M;
   M = M.set("alpha", 1).set("beta", 2).set("gamma", 3);
@@ -141,9 +245,11 @@ TEST(PersistentMapTest, StringKeys) {
   EXPECT_EQ(M.size(), 2u);
 }
 
-/// Property: a random op stream applied to both the persistent map and
-/// std::map stays in lock-step, and every intermediate version remains
-/// valid afterwards (full persistence).
+/// Property: a random stream of persistent sets and erases, in-place
+/// writes, copies and derived values, applied to both the persistent
+/// map and std::map, stays in lock-step after every step, and every
+/// saved version remains exactly what it was (full persistence: an
+/// in-place write never reaches a node another version can see).
 class PersistentMapRandom : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PersistentMapRandom, AgreesWithStdMapModel) {
@@ -153,47 +259,51 @@ TEST_P(PersistentMapRandom, AgreesWithStdMapModel) {
   std::vector<PersistentMap<int, int>> Versions;
   std::vector<std::map<int, int>> ModelVersions;
 
+  auto Agrees = [](const PersistentMap<int, int> &Map,
+                   const std::map<int, int> &Ref) {
+    if (Map.size() != Ref.size())
+      return false;
+    for (int Key = 0; Key != 80; ++Key) {
+      const int *Found = Map.find(Key);
+      auto It = Ref.find(Key);
+      if ((Found != nullptr) != (It != Ref.end()) ||
+          (Found && *Found != It->second))
+        return false;
+    }
+    return true;
+  };
+
   for (int Step = 0; Step != 600; ++Step) {
     int Key = static_cast<int>(R.below(80));
-    if (R.chance(2, 3)) {
-      int Val = static_cast<int>(R.below(1000));
+    int Val = static_cast<int>(R.below(1000));
+    switch (R.below(6)) {
+    case 0:
+    case 1: // In-place write.
+      M.setInPlace(Key, Val);
+      Model[Key] = Val;
+      break;
+    case 2: // Derived value replaces the original.
       M = M.set(Key, Val);
       Model[Key] = Val;
-    } else {
+      break;
+    case 3:
       M = M.erase(Key);
       Model.erase(Key);
-    }
-    if (Step % 97 == 0) {
+      break;
+    case 4: // A derived value is kept; the original writes on.
+      Versions.push_back(M.set(Key, Val));
+      ModelVersions.push_back(Model);
+      ModelVersions.back()[Key] = Val;
+      break;
+    default: // A copy is kept; the original writes on.
       Versions.push_back(M);
       ModelVersions.push_back(Model);
+      break;
     }
-    ASSERT_EQ(M.size(), Model.size()) << "step " << Step;
-    const int *Found = M.find(Key);
-    auto ModelIt = Model.find(Key);
-    ASSERT_EQ(Found != nullptr, ModelIt != Model.end());
-    if (Found) {
-      ASSERT_EQ(*Found, ModelIt->second);
-    }
-  }
-
-  // Every key agrees at the end.
-  for (int Key = 0; Key != 80; ++Key) {
-    const int *Found = M.find(Key);
-    auto It = Model.find(Key);
-    ASSERT_EQ(Found != nullptr, It != Model.end()) << "key " << Key;
-    if (Found) {
-      ASSERT_EQ(*Found, It->second);
-    }
-  }
-
-  // Saved versions are still exactly what they were (persistence).
-  for (size_t I = 0; I != Versions.size(); ++I) {
-    ASSERT_EQ(Versions[I].size(), ModelVersions[I].size());
-    for (const auto &[Key, Val] : ModelVersions[I]) {
-      const int *Found = Versions[I].find(Key);
-      ASSERT_NE(Found, nullptr);
-      ASSERT_EQ(*Found, Val);
-    }
+    ASSERT_TRUE(Agrees(M, Model)) << "step " << Step;
+    for (size_t I = 0; I != Versions.size(); ++I)
+      ASSERT_TRUE(Agrees(Versions[I], ModelVersions[I]))
+          << "version " << I << " after step " << Step;
   }
 }
 

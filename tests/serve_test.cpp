@@ -14,7 +14,8 @@
 /// checks live here too: concurrent producers lose nothing and keep
 /// their per-client order, the queue cap counts every queued
 /// submission, and report(), rollupJson() and the serve.* counters
-/// agree status by status.
+/// agree status by status. The socket frontend forgets a connection
+/// once it has closed and its last reply has been routed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <iterator>
 #include <map>
 #include <mutex>
@@ -629,6 +635,117 @@ TEST(ServiceTest, ReportRollupAndCountersAgreeStatusByStatus) {
   EXPECT_EQ(R.Sheds, 1u);
   EXPECT_GE(R.DrainedInflight, 4u);
   EXPECT_EQ(M.counter("serve.submissions").load(), R.Received);
+}
+
+namespace {
+
+/// A blocking line client for the frontend's AF_UNIX socket.
+class LineClient {
+public:
+  explicit LineClient(const std::string &Path) {
+    Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un Addr{};
+    Addr.sun_family = AF_UNIX;
+    std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+    Connected =
+        Fd >= 0 && ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
+                             sizeof(Addr)) == 0;
+  }
+  ~LineClient() {
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+  LineClient(const LineClient &) = delete;
+  LineClient &operator=(const LineClient &) = delete;
+
+  bool connected() const { return Connected; }
+
+  bool send(const std::string &Line) {
+    const std::string Out = Line + "\n";
+    return ::send(Fd, Out.data(), Out.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(Out.size());
+  }
+
+  /// The next line, or "" once the connection has closed.
+  std::string readLine() {
+    size_t Pos;
+    while ((Pos = Buffer.find('\n')) == std::string::npos) {
+      char Chunk[256];
+      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
+      if (N <= 0)
+        return std::string();
+      Buffer.append(Chunk, static_cast<size_t>(N));
+    }
+    std::string Line = Buffer.substr(0, Pos);
+    Buffer.erase(0, Pos + 1);
+    return Line;
+  }
+
+private:
+  int Fd = -1;
+  bool Connected = false;
+  std::string Buffer;
+};
+
+/// Client records in a rollupJson() object.
+size_t rollupClients(const std::string &Json) {
+  const size_t End = Json.find("\"lanes\":[");
+  size_t N = 0;
+  for (size_t At = Json.find("\"seq\":"); At < End;
+       At = Json.find("\"seq\":", At + 1))
+    ++N;
+  return N;
+}
+
+} // namespace
+
+TEST(SocketFrontendTest, ClosedConnectionsAreReapedAndTheirClientsRetired) {
+  // 200 sequential connections each submit once, await the reply and
+  // quit. The frontend must not keep a Conn (and an unjoined reader)
+  // per connection it ever accepted, nor the service a client record,
+  // while report() still counts every retired client's replies.
+  ServiceWorld World;
+  ServeConfig SC;
+  SC.BatchMax = 4;
+  Service S(World.J, World.Pool, SC);
+  const std::string Path = ::testing::TempDir() + "janus_serve_reap_" +
+                           std::to_string(::getpid()) + ".sock";
+  SocketFrontend F(S, Path);
+  S.setReplySink([&F](const Reply &R) { F.route(R); });
+  std::string Err;
+  ASSERT_TRUE(F.start(&Err)) << Err;
+  std::thread Runner([&S] { S.serve(); });
+
+  const int N = 200;
+  int Replies = 0;
+  for (int I = 0; I != N; ++I) {
+    LineClient C(Path);
+    ASSERT_TRUE(C.connected()) << "connection " << I;
+    EXPECT_EQ(C.readLine().rfind("hello ", 0), 0u);
+    ASSERT_TRUE(C.send("submit 7 0"));
+    EXPECT_EQ(C.readLine(), "reply 7 committed") << "connection " << I;
+    ++Replies;
+    ASSERT_TRUE(C.send("quit"));
+    EXPECT_EQ(C.readLine(), ""); // The frontend closes on quit.
+  }
+  EXPECT_LE(F.connectionsHeld(), 10u);
+  EXPECT_LE(rollupClients(S.rollupJson()), 10u);
+
+  S.requestStop();
+  Runner.join();
+  F.stop();
+  EXPECT_EQ(F.connectionsHeld(), 0u);
+  EXPECT_EQ(F.connectionsAccepted(), uint64_t(N));
+  ServeReport R = S.report();
+  EXPECT_TRUE(R.clean());
+  EXPECT_EQ(R.Received, uint64_t(Replies));
+  EXPECT_EQ(R.Committed, uint64_t(Replies));
+  EXPECT_EQ(R.Replies, uint64_t(Replies));
+  const std::string Rollup = S.rollupJson();
+  EXPECT_EQ(rollupClients(Rollup), 0u);
+  EXPECT_NE(Rollup.find("\"retired_clients\":200"), std::string::npos)
+      << Rollup;
+  EXPECT_EQ(World.counterValue(), N);
 }
 
 // ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ import sys
 # Anything else in a trace is drift between the engines'
 # instrumentation and this contract.
 SPAN_NAMES = {
-    "begin", "body", "detect", "replay", "commit",
+    "begin", "body", "turn-wait", "detect", "replay", "commit",
     "backoff", "serial", "sat",
     "train-exec", "train-mine", "train-relax", "train-pairs",
     "train-verify",

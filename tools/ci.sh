@@ -3,7 +3,9 @@
 #   1. plain build + ctest (the tier-1 gate);
 #   2. static analysis (tools/lint.sh; skipped when clang-tidy absent);
 #   3. ThreadSanitizer build + ctest (JANUS_SANITIZE=thread) — the
-#      dynamic complement of the hindsight auditor;
+#      dynamic complement of the hindsight auditor — then persist_test,
+#      stm_test and sharded_test three more times each (the suites that
+#      drive in-place writes beside concurrent readers);
 #   4. `janus audit` over every workload (the paper's five plus the
 #      HashChurn/SSCA2 spec kernels) on both engines — the simulator
 #      and the real-thread engine at 1 shard — plus a pass at 8
@@ -89,6 +91,11 @@ cmake -B "$REPO_ROOT/build-tsan" -S "$REPO_ROOT" \
       -DJANUS_SANITIZE=thread >/dev/null
 cmake --build "$REPO_ROOT/build-tsan" -j "$JOBS"
 (cd "$REPO_ROOT/build-tsan" && ctest --output-on-failure -j "$JOBS")
+# More interleavings for the suites that drive in-place writes to
+# privatized and replayed states next to concurrent readers of the
+# published ones.
+(cd "$REPO_ROOT/build-tsan" && ctest --output-on-failure -j "$JOBS" \
+   --repeat-until-fail 3 -R '^(persist|stm|sharded)_test$')
 
 echo "== [4/10] hindsight audit of all workloads =="
 for W in JFileSync JGraphT-1 JGraphT-2 PMD Weka HashChurn SSCA2; do
