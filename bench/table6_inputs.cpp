@@ -33,7 +33,7 @@ void measure(Workload &W, const PayloadSpec &P, size_t &Tasks,
     stm::TxContext Tx(State, static_cast<uint32_t>(I + 1), J.registry());
     TaskSet[I](Tx);
     LogOps += Tx.log().size();
-    stm::applyLog(State, Tx.log());
+    State = Tx.privatizedState();
   }
 }
 

@@ -157,7 +157,7 @@ double Janus::timeSequential(const std::vector<stm::TaskFn> &Tasks) const {
   for (size_t I = 0, E = Tasks.size(); I != E; ++I) {
     stm::TxContext Tx(Copy, static_cast<uint32_t>(I + 1), Reg);
     if (stm::runBody(Tasks[I], Tx))
-      stm::applyLog(Copy, Tx.log());
+      Copy = Tx.privatizedState();
   }
   return std::chrono::duration<double>(Clock::now() - Start).count();
 }

@@ -157,9 +157,11 @@ public:
   /// Runs \p Tasks one after another on a copy of the current shared
   /// state and \returns the wall-clock seconds they took: the
   /// sequential baseline a real-thread speedup divides by. Bodies run
-  /// without fault injection, recording or tracing; a throwing task
-  /// contributes its partial work and no state change, as in the
-  /// engines. The shared state is not disturbed. The simulator times
+  /// without fault injection, recording or tracing; a task's private
+  /// view, which its body wrote in place, becomes the next task's
+  /// state, as the engines commit it. A throwing task contributes its
+  /// partial work and no state change. The shared state is not
+  /// disturbed. The simulator times
   /// its own virtual baseline and needs no such call.
   double timeSequential(const std::vector<stm::TaskFn> &Tasks) const;
 

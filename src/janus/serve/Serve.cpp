@@ -128,6 +128,7 @@ bool Service::submit(uint64_t Client, uint64_t SubId, uint32_t TaskIndex,
       ++C.Pending;
       ++Queued;
       C.Lane.push_back(Submission{Client, SubId, Seq, TaskIndex, DeadlineUs});
+      Admitted.notify_one();
       return true;
     }
     tally(C, ReplyStatus::Overloaded);
@@ -158,6 +159,7 @@ void Service::requestStop() {
     // Admission fence: submit() reads Stopping under AdmMutex, so
     // after this lock cycles, the set of admitted submissions is fixed.
     std::lock_guard<std::mutex> G(AdmMutex);
+    Admitted.notify_one(); // An idle scheduler sees the drain now.
   }
 }
 
@@ -385,7 +387,13 @@ void Service::serve() {
       // in flight between iterations.
       if (Fenced)
         break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      // Wait for admission or the drain. The period still serves the
+      // flags nothing notifies: StopFlag and DumpFlag (set by signal
+      // handlers), HardCancelled, WantDump and the metrics tick.
+      std::unique_lock<std::mutex> G(AdmMutex);
+      Admitted.wait_for(G, std::chrono::microseconds(200), [this] {
+        return Queued != 0 || Stopping.load(std::memory_order_acquire);
+      });
     }
     MetricsTick();
   }

@@ -78,6 +78,7 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -287,6 +288,9 @@ private:
   resilience::PressureBoard Board;
 
   mutable std::mutex AdmMutex; ///< Guards Clients, Queued and Retired*.
+  /// Wakes the idle scheduler: submit() notifies when it admits, and
+  /// requestStop() after its admission fence. Paired with AdmMutex.
+  std::condition_variable Admitted;
   std::map<uint64_t, ClientRecord> Clients;
   size_t Queued = 0; ///< Submissions in all lanes (QueueCap counts these).
   /// Retired clients, folded: how many, their submissions and their

@@ -86,11 +86,10 @@ ShardedRuntime::ShardedRuntime(const ObjectRegistry &Reg,
 }
 
 ShardedRuntime::~ShardedRuntime() {
-  {
-    std::lock_guard<std::mutex> Guard(PoolMutex);
-    Stopping = true;
-    for (WorkerSlot &W : Workers)
-      W.WakeCv.notify_one();
+  Stopping.store(true, std::memory_order_relaxed);
+  for (WorkerSlot &W : Workers) {
+    W.Wake.fetch_add(1, std::memory_order_release);
+    W.Wake.notify_one();
   }
   for (std::thread &T : Pool)
     T.join();
@@ -329,54 +328,45 @@ void ShardedRuntime::finishCommit(const AttemptEnd &End, uint64_t Acquired,
     O->commitLatency().record(EndTs - LatencyTs);
   }
   Life->report(End, Worker.Events, [O] { return O->nowUs(); });
-  // Hand the turn off before freeing the attempt's private copies: in
-  // ordered mode the successor waits on exactly this call.
-  notifySuccessor(End.Clock);
+  // Open the successor's turn after the publish, so it validates
+  // against this commit, and before freeing the attempt's private
+  // copies: in ordered mode the successor waits on exactly this call.
+  if (Config.Ordered)
+    openTurn(End.Tid + 1);
   releaseAttempt(Worker, Acquired);
 }
 
+void ShardedRuntime::openTurn(uint32_t Tid) {
+  std::atomic<uint32_t> &Word = Workers[Tid % Workers.size()].Turn;
+  Word.store(Tid, std::memory_order_release);
+  Word.notify_one();
+}
+
 void ShardedRuntime::waitForTurn(uint32_t Tid, uint32_t Attempt,
-                                 unsigned Lane, WorkerSlot &Worker,
-                                 bool Sampled) {
+                                 unsigned Lane, bool Sampled) {
   if (!Config.Ordered)
+    return;
+  // Task Tid's turn opens when task Tid - 1 has committed, after its
+  // publish (finishCommit), so reading Tid here (acquire) makes every
+  // earlier commit visible. Within a run a word only moves forward, to
+  // a later turn at the same index, so 32-bit equality is exact. The
+  // unfinished tasks of an ordered run are consecutive and at most one
+  // per slot, so they wait on distinct words: notify_one wakes exactly
+  // the successor. (libstdc++ futex-waits directly only on 4-byte
+  // atomics; a wider word would wait on a shared proxy, where every
+  // notify is a broadcast.)
+  std::atomic<uint32_t> &Word = Workers[Tid % Workers.size()].Turn;
+  uint32_t Seen = Word.load(std::memory_order_acquire);
+  if (Seen == Tid)
     return;
   obs::Observer *const O = obs::janusObs(Config.Obs);
   const double EntryTs = Sampled ? O->nowUs() : 0.0;
-  // Task Tid's turn comes when the global Clock reaches OrderBase + Tid
-  // (every preceding task committed exactly one tick — speculative,
-  // serial, empty or placeholder alike). Post the awaited turn under
-  // OrderMutex so the handoff cannot race the committer that bumps the
-  // Clock to Target: it bumps the Clock first, then takes OrderMutex to
-  // look for us.
-  uint64_t Target = OrderBase.load(std::memory_order_acquire) + Tid;
-  {
-    std::unique_lock<std::mutex> Guard(OrderMutex);
-    if (Clock.load(std::memory_order_acquire) >= Target)
-      return;
-    Worker.AwaitedTurn = Target;
-    Worker.TurnCv.wait(Guard, [this, Target]() {
-      return Clock.load(std::memory_order_acquire) >= Target;
-    });
-    Worker.AwaitedTurn = 0;
-  }
+  do {
+    Word.wait(Seen, std::memory_order_acquire);
+    Seen = Word.load(std::memory_order_acquire);
+  } while (Seen != Tid);
   if (Sampled)
-    O->span(Lane, "turn-wait", Tid, Attempt, EntryTs, O->nowUs() - EntryTs,
-            "clock", static_cast<double>(Target));
-}
-
-void ShardedRuntime::notifySuccessor(uint64_t CommitTime) {
-  if (!Config.Ordered)
-    return;
-  // Hand the turn to the one transaction this commit made eligible (its
-  // Target equals CommitTime): a commit wakes one thread, not every
-  // waiter. No slot awaiting it means the successor has not reached its
-  // wait yet; it will see the Clock on its own.
-  std::lock_guard<std::mutex> Guard(OrderMutex);
-  for (WorkerSlot &W : Workers)
-    if (W.AwaitedTurn == CommitTime) {
-      W.TurnCv.notify_one();
-      return;
-    }
+    O->span(Lane, "turn-wait", Tid, Attempt, EntryTs, O->nowUs() - EntryTs);
 }
 
 ShardedRuntime::ShardState *ShardedRuntime::allocState(Shard &Sh) {
@@ -462,7 +452,7 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
   }
 
   // Ordered mode: wait for all preceding tasks to commit.
-  waitForTurn(Tid, Attempt, Lane, Worker, Sampled);
+  waitForTurn(Tid, Attempt, Lane, Sampled);
 
   if (uint64_t Delay = Config.Faults.commitDelay(Tid, Attempt)) {
     ++Stats.FaultsInjected;
@@ -584,6 +574,9 @@ Abort ShardedRuntime::runTask(const TaskFn &Task, uint32_t Tid,
       Valid = Cur[S] == Worker.Attempt[S].Now;
     }
     if (!Valid) {
+      // An ordered attempt validates after its turn opened: every
+      // predecessor had published, and no successor commits before it.
+      JANUS_ASSERT(!Config.Ordered, "ordered validation failed");
       unlockShards(Mask);
       ++Stats.ValidationFailures;
       if (Sampled)
@@ -606,7 +599,7 @@ void ShardedRuntime::commitSerial(const TaskFn *Task, uint32_t Tid,
 
   // Ordered mode: wait for the turn *before* taking any lock — the
   // predecessor's commit needs its shard mutexes.
-  waitForTurn(Tid, Attempt, Lane, Worker, Sampled);
+  waitForTurn(Tid, Attempt, Lane, Sampled);
 
   // Lock *every* shard: a strict superset of any speculative
   // committer's lock set, in the same global order, so no deadlock —
@@ -693,20 +686,21 @@ void ShardedRuntime::drain(unsigned Slot) noexcept {
 }
 
 void ShardedRuntime::poolLoop(unsigned Slot) {
-  WorkerSlot &W = Workers[Slot];
-  std::unique_lock<std::mutex> Guard(PoolMutex);
-  while (true) {
-    W.WakeCv.wait(Guard, [this, &W] { return W.Wake || Stopping; });
-    if (!W.Wake)
+  std::atomic<uint32_t> &Wake = Workers[Slot].Wake;
+  // The word reads 0 until the first run that wants this slot, which
+  // comes after the spawn; it is read again before Busy drops, since
+  // the next run may bump it as soon as Busy reaches 0.
+  for (uint32_t Seen = 0;;) {
+    Wake.wait(Seen, std::memory_order_acquire);
+    Seen = Wake.load(std::memory_order_acquire);
+    if (Stopping.load(std::memory_order_relaxed))
       return;
-    W.Wake = false;
-    Guard.unlock();
     drain(Slot);
-    Guard.lock();
-    // Notified under the lock: run() may return, and the runtime be
-    // destroyed, as soon as the mutex is free.
-    if (--Busy == 0)
-      IdleCv.notify_one();
+    // run() may return, and the runtime start its destruction, as soon
+    // as Busy reads 0. The late notify is still safe: the destructor
+    // joins the pool before Busy is destroyed.
+    if (Busy.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      Busy.notify_one();
   }
 }
 
@@ -719,8 +713,11 @@ void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
     Trace.Initial = sharedState();
     Trace.Events.clear();
   }
-  OrderBase.store(Clock.load(std::memory_order_acquire) - 1,
-                  std::memory_order_release);
+  // Ordered turns count task ids from 1 in every run: each word starts
+  // the run closed, and task 1's turn is open.
+  for (WorkerSlot &W : Workers)
+    W.Turn.store(0, std::memory_order_relaxed);
+  openTurn(1);
   RunTasks = &Tasks;
   NextTask.store(0, std::memory_order_relaxed);
 
@@ -734,20 +731,16 @@ void ShardedRuntime::run(const std::vector<TaskFn> &Tasks) {
     while (Pool.size() + 1 < Workers.size())
       Pool.emplace_back(&ShardedRuntime::poolLoop, this,
                         static_cast<unsigned>(Pool.size() + 1));
-    {
-      std::lock_guard<std::mutex> Guard(PoolMutex);
-      Busy = N - 1;
-      for (unsigned I = 1; I != N; ++I)
-        Workers[I].Wake = true;
+    Busy.store(N - 1, std::memory_order_relaxed);
+    for (unsigned I = 1; I != N; ++I) {
+      Workers[I].Wake.fetch_add(1, std::memory_order_release);
+      Workers[I].Wake.notify_one();
     }
-    for (unsigned I = 1; I != N; ++I)
-      Workers[I].WakeCv.notify_one();
   }
   drain(0);
-  if (N > 1) {
-    std::unique_lock<std::mutex> Guard(PoolMutex);
-    IdleCv.wait(Guard, [this] { return Busy == 0; });
-  }
+  // Every woken slot's decrement releases its share of the run.
+  for (unsigned B; (B = Busy.load(std::memory_order_acquire)) != 0;)
+    Busy.wait(B, std::memory_order_acquire);
   RunTasks = nullptr;
 
   if (Config.RecordTrace) {

@@ -13,10 +13,10 @@
 ///      swap, begins are pointer loads.
 ///   2. RUNSEQUENTIAL — run the task body against the privatized
 ///      slices.
-///   3. If ordered, wait until the global Clock reaches the task id
-///      (all preceding tasks committed); each committer hands the turn
-///      directly to its successor's condition variable, so a commit
-///      wakes one thread, not every waiter.
+///   3. If ordered, wait for the task's turn (all preceding tasks
+///      committed): the committer of task t opens task t+1's turn in a
+///      32-bit turn word after it has published, and wakes that word's
+///      one waiter.
 ///   4. Loop, per touched shard: read `now` from the published state;
 ///      extend the transaction's committed-history window to
 ///      (begin, now] by walking the shard's state chain from the last
@@ -57,9 +57,9 @@
 ///
 /// Every committed transaction — empty, single-, or cross-shard —
 /// stamps one tick of a dense global clock (`Clock.fetch_add(1)`), so
-/// the total commit order of Theorem 4.1 and the ordered-mode turn
-/// handoff are independent of the shard count, while per-shard
-/// histories stay dense in their own version space. The auditor
+/// the total commit order of Theorem 4.1 is independent of the shard
+/// count, while per-shard histories stay dense in their own version
+/// space. The auditor
 /// reconstructs the total order from the global stamps and refines
 /// per-location begin points from the recorded shard-acquisition
 /// stamps (`TraceEvent::ShardBegins`).
@@ -73,10 +73,10 @@
 /// recycles all but the published state of a quiesced engine. See
 /// ShardedRuntime.cpp for the Dekker-style argument.
 ///
-/// Lock hierarchy: OrderMutex and the shard CommitMutexes never nest.
-/// waitForTurn blocks under OrderMutex while the predecessor needs its
-/// shard mutexes to advance the Clock, so turns are awaited before any
-/// shard lock is taken and handed off after all are released.
+/// Locks: the shard CommitMutexes are the engine's only mutexes, taken
+/// in ascending shard order. Turns are awaited before any shard lock is
+/// taken and opened after all are released, so no thread waits for a
+/// turn while it holds a lock its predecessor needs.
 ///
 /// Theorem 4.1: with a sound and valid detector this terminates, and
 /// ordered runs reach the sequential final state while unordered runs
@@ -91,9 +91,10 @@
 ///
 /// Workers are a pool owned by the runtime: the first run with more
 /// than one worker spawns NumThreads - 1 threads, which park on their
-/// slot's condition variable between runs. A run wakes only the slots
-/// it uses (min(NumThreads, tasks)) and the calling thread works as
-/// slot 0, so a one-task run wakes no thread. The destructor stops and
+/// slot's wake word (std::atomic wait) between runs. A run wakes only
+/// the slots it uses (min(NumThreads, tasks)) and the calling thread
+/// works as slot 0, so a one-task run wakes no thread; the caller then
+/// waits on the count of slots still draining. The destructor stops and
 /// joins the pool.
 ///
 //===----------------------------------------------------------------------===//
@@ -105,7 +106,7 @@
 #include "janus/stm/Detector.h"
 
 #include <array>
-#include <condition_variable>
+#include <atomic>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -311,21 +312,19 @@ private:
     /// storage); reset between attempts so attempts allocate nothing.
     std::vector<ShardBackend::View> Views;
     std::vector<AttemptShard> Attempt; ///< Parallel to Views.
-    /// Ordered mode: the turn (the Clock value that makes this worker's
-    /// transaction eligible) it is blocked on, 0 when none; its
-    /// predecessor's committer finds it here and signals TurnCv, so a
-    /// commit wakes one thread, not every waiter. Guarded by OrderMutex.
-    uint64_t AwaitedTurn = 0;
-    std::condition_variable TurnCv;
     std::vector<TraceEvent> Events;
     std::vector<resilience::TaskFailure> Failures;
     /// (global commit stamp, task id) pairs; merged and sorted into
     /// the global commit order on demand.
     std::vector<std::pair<uint64_t, uint32_t>> CommitLog;
-    /// Parks the slot's pool thread between runs; Wake (guarded by
-    /// PoolMutex) says a run wants this slot.
-    std::condition_variable WakeCv;
-    bool Wake = false;
+    /// Ordered mode: the turn word of the tasks whose id is this slot's
+    /// index modulo the slot count. It holds the id of the last such
+    /// task whose turn opened this run (0 = none yet). Other threads
+    /// write both words, so they sit on a cache line of their own.
+    alignas(CacheLineSize) std::atomic<uint32_t> Turn{0};
+    /// Parks the slot's pool thread between runs: a run that wants the
+    /// slot (or the destructor) bumps this generation and notifies.
+    std::atomic<uint32_t> Wake{0};
   };
 
   /// TxContext's view of one attempt: routes lazy shard acquisition
@@ -397,21 +396,22 @@ private:
 
   /// Every commit's tail, after its locks are released: the commit
   /// stamp, the counters, the commit (or serial) span and commit
-  /// latency when \p Sampled, the end record, the ordered-turn handoff,
-  /// and the release of the shards in \p Acquired. The span starts at
-  /// \p SpanTs and the latency at \p LatencyTs.
+  /// latency when \p Sampled, the end record, the opening of the next
+  /// ordered turn, and the release of the shards in \p Acquired. The
+  /// span starts at \p SpanTs and the latency at \p LatencyTs.
   void finishCommit(const AttemptEnd &End, uint64_t Acquired,
                     WorkerSlot &Worker, bool Sampled, double SpanTs,
                     double LatencyTs);
 
-  /// Blocks the calling worker while it waits for its ordered-mode
-  /// commit turn (Clock >= OrderBase + Tid). No-op when unordered. A
-  /// sampled attempt that does wait records a "turn-wait" span.
+  /// Opens task \p Tid's ordered-mode turn: stores \p Tid in the turn
+  /// word of slot Tid mod NumThreads and wakes the word's waiter, if any.
+  void openTurn(uint32_t Tid);
+  /// Blocks the calling worker until its ordered-mode commit turn is
+  /// open (every preceding task of the run committed). No-op when
+  /// unordered. A sampled attempt that does wait records a "turn-wait"
+  /// span.
   void waitForTurn(uint32_t Tid, uint32_t Attempt, unsigned Lane,
-                   WorkerSlot &Worker, bool Sampled);
-  /// Wakes the ordered-mode waiter (if any) whose turn the commit at
-  /// \p CommitTime made eligible. No-op when unordered.
-  void notifySuccessor(uint64_t CommitTime);
+                   bool Sampled);
 
   /// Recycles the prefix of shard \p S's state chain, up to its
   /// published state \p Cur, that no worker hazard references, with
@@ -441,15 +441,11 @@ private:
   uint64_t AllShards; ///< The mask of every shard.
 
   /// The dense global commit clock: every commit (empty, single- or
-  /// cross-shard, serial, placeholder) is exactly one fetch_add. Also
-  /// the ordered-mode turn predicate.
+  /// cross-shard, serial, placeholder) is exactly one fetch_add.
   std::atomic<uint64_t> Clock{1};
 
   std::vector<Shard> Shards;
   std::vector<WorkerSlot> Workers;
-
-  std::mutex OrderMutex; ///< Guards every slot's AwaitedTurn.
-  std::atomic<uint64_t> OrderBase{0}; ///< Clock at the start of run().
 
   std::optional<Lifecycle> Life; ///< The run() in progress.
   std::vector<resilience::TaskFailure> Failures;
@@ -466,11 +462,10 @@ private:
   AuditTrace Trace;
   RunStats Stats;
 
-  std::mutex PoolMutex;
-  /// Signalled when the last woken slot has drained the run.
-  std::condition_variable IdleCv;
-  unsigned Busy = 0;     ///< Woken slots still draining; PoolMutex.
-  bool Stopping = false; ///< Set by the destructor; PoolMutex.
+  /// Woken slots still draining the run in progress; run() waits on it
+  /// and the slot that brings it to 0 notifies.
+  std::atomic<unsigned> Busy{0};
+  std::atomic<bool> Stopping{false}; ///< Set by the destructor.
   /// Threads for worker slots 1..NumThreads-1, spawned at the first
   /// multi-worker run. Declared last: they use every member above.
   std::vector<std::thread> Pool;

@@ -40,7 +40,7 @@ double SimRuntime::sequentialBaseline(const std::vector<TaskFn> &Tasks) {
     Time += Tx.virtualCost() +
             Config.Costs.SeqPerOp * static_cast<double>(Tx.log().size());
     if (Ok)
-      applyLog(State, Tx.log());
+      State = Tx.privatizedState();
   }
   return Time;
 }

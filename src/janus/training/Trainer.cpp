@@ -40,7 +40,7 @@ void Trainer::trainOn(stm::Snapshot &State,
       Logs.push_back(stm::TxLog{});
       continue;
     }
-    stm::applyLog(State, Tx.log());
+    State = Tx.privatizedState();
     Logs.push_back(Tx.log());
   }
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <tuple>
 
@@ -254,8 +255,15 @@ TEST(OneShardRuntimeTest, LogReclamationBoundsHistory) {
   EXPECT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(30));
 }
 
-/// Property: across thread counts and seeds, running random counter /
-/// cell workloads ordered yields exactly the sequential final state.
+/// Property: across thread counts and seeds, runs on one runtime reach
+/// the sequential final state of their commit order, which is task
+/// order when ordered, with every failed task's effects left out. The
+/// runs take 1, T-1, T and 3T tasks (T threads) and alternate ordered
+/// and unordered, so turn and wake words carry over from run to run.
+/// Odd seeds spread the locations over 4 shards and add a fault plan:
+/// forced aborts, delayed commits, task 2 escalating to the serial
+/// fallback and task 3 throwing past its retry budget, so serial and
+/// placeholder commits take turns too.
 class ThreadedSerializability
     : public ::testing::TestWithParam<std::tuple<unsigned, uint64_t>> {};
 
@@ -263,23 +271,22 @@ TEST_P(ThreadedSerializability, OrderedEqualsSequential) {
   auto [Threads, Seed] = GetParam();
   Rng R(Seed);
   World W;
+  const bool Faulty = Seed % 2 == 1;
+  ShardedConfig Cfg{.NumThreads = Threads, .NumShards = Faulty ? 4u : 1u};
+  resilience::FaultPlan Plan;
+  if (Faulty) {
+    Cfg.Resilience.SpeculativeRetryBudget = 2;
+    Plan = *resilience::FaultPlan::parse(
+        "abort@*.1;abort@2.*;delay@*.2=20;throw@3.*", nullptr);
+  }
+  WriteSetDetector D;
+  ShardedRuntime Par(W.Reg, D, Cfg);
 
-  // Build random tasks over three locations.
-  const int N = 30;
   struct Step {
     int Kind; // 0 read, 1 write, 2 add
     int LocIdx;
     int64_t Val;
   };
-  std::vector<std::vector<Step>> Programs;
-  for (int I = 0; I != N; ++I) {
-    std::vector<Step> P;
-    for (int J = 0, E = 1 + static_cast<int>(R.below(5)); J != E; ++J)
-      P.push_back(Step{static_cast<int>(R.below(3)),
-                       static_cast<int>(R.below(3)), R.range(-5, 5)});
-    Programs.push_back(P);
-  }
-
   auto MakeTask = [&W](const std::vector<Step> &P) -> TaskFn {
     return [&W, &P](TxContext &Tx) {
       Location Locs[3] = {Location(W.Work), Location(W.Flag),
@@ -295,29 +302,80 @@ TEST_P(ThreadedSerializability, OrderedEqualsSequential) {
     };
   };
 
-  std::vector<TaskFn> Tasks;
-  for (const auto &P : Programs)
-    Tasks.push_back(MakeTask(P));
+  Snapshot Ref; // The sequential reference, carried across runs.
+  bool Ordered = true;
+  for (uint32_t N : {1u, Threads - 1, Threads, 3 * Threads}) {
+    for (int Mode = 0; Mode != 2; ++Mode, Ordered = !Ordered) {
+      SCOPED_TRACE(testing::Message() << N << " tasks, "
+                                      << (Ordered ? "ordered" : "unordered"));
+      // Random programs over three locations.
+      std::vector<std::vector<Step>> Programs(N);
+      for (std::vector<Step> &P : Programs)
+        for (int J = 0, E = 1 + static_cast<int>(R.below(5)); J != E; ++J)
+          P.push_back(Step{static_cast<int>(R.below(3)),
+                           static_cast<int>(R.below(3)), R.range(-5, 5)});
+      std::vector<TaskFn> Tasks;
+      for (const auto &P : Programs)
+        Tasks.push_back(MakeTask(P));
 
-  // Sequential reference.
-  WriteSetDetector DSeq;
-  ShardedRuntime Seq(W.Reg, DSeq,
-                     ShardedConfig{.NumThreads = 1, .NumShards = 1});
-  Seq.run(Tasks);
+      Par.stats().reset();
+      Par.setRunParams(Ordered, Plan, nullptr, nullptr);
+      Par.run(Tasks);
+      const std::vector<uint32_t> Order = Par.commitOrder();
+      Par.trim(); // The next run's commit order starts empty.
 
-  WriteSetDetector DPar;
-  ShardedRuntime Par(W.Reg, DPar,
-                     ShardedConfig{.NumThreads = Threads, .NumShards = 1,
-                                   .Ordered = true});
-  Par.run(Tasks);
+      // Dense: each task commits exactly once, in task order if ordered.
+      std::vector<uint32_t> Dense(N), Sorted = Order;
+      for (uint32_t I = 0; I != N; ++I)
+        Dense[I] = I + 1;
+      std::sort(Sorted.begin(), Sorted.end());
+      EXPECT_EQ(Sorted, Dense);
+      if (Ordered) {
+        EXPECT_EQ(Order, Dense);
+        EXPECT_EQ(Par.stats().ValidationFailures.load(), 0u);
+      }
+      std::vector<uint32_t> Failed;
+      for (const resilience::TaskFailure &F : Par.failures())
+        Failed.push_back(F.Tid);
+      EXPECT_EQ(Failed, Faulty && N >= 3 ? std::vector<uint32_t>{3}
+                                         : std::vector<uint32_t>{});
+      if (Faulty && N >= 2) {
+        EXPECT_GT(Par.stats().SerialFallbacks.load(), 0u);
+      }
 
-  EXPECT_TRUE(Par.sharedState() == Seq.sharedState());
+      for (uint32_t Tid : Order) {
+        if (std::count(Failed.begin(), Failed.end(), Tid))
+          continue;
+        TxContext Tx(Ref, Tid, W.Reg);
+        Tasks[Tid - 1](Tx);
+        Ref = Tx.privatizedState();
+      }
+      EXPECT_TRUE(Par.sharedState() == Ref);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ThreadedSerializability,
-    ::testing::Combine(::testing::Values(2u, 4u, 8u),
+    ::testing::Combine(::testing::Values(2u, 4u, 8u, 16u),
                        ::testing::Values(1u, 2u, 3u)));
+
+/// The pool's last act on a run (the Busy notify) can come after run()
+/// returned: build a pooled runtime, run it once and destroy it, many
+/// times, so the sanitizer build sees that race with the destructor.
+TEST(OneShardRuntimeTest, PoolSurvivesTeardownRightAfterARun) {
+  World W;
+  std::vector<TaskFn> Tasks(
+      8, [&W](TxContext &Tx) { Tx.add(Location(W.Work), 1); });
+  for (int I = 0; I != 200; ++I) {
+    WriteSetDetector D;
+    ShardedRuntime R(W.Reg, D,
+                     ShardedConfig{.NumThreads = 4, .NumShards = 1,
+                                   .Ordered = I % 2 == 0});
+    R.run(Tasks);
+    ASSERT_EQ(snapshotValue(R.sharedState(), Location(W.Work)), Value::of(8));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Simulator.

@@ -29,12 +29,12 @@
 #      types only, well-formed spans), and the --json report must be
 #      parseable, with a positive sequential_time and speedup on the
 #      real-thread engine;
-#   8. perf smoke: micro_commit --quick (including the 1/4/16
-#      shard-count sweep) must run to completion, then
-#      tools/perfdiff.py gates the deltas against the committed
-#      baseline — FATALLY: a ns/commit regression beyond
-#      JANUS_PERF_THRESHOLD percent (default 75, wide because the
-#      quick run is noisy) or a retry-ratio increase beyond
+#   8. perf smoke: a full micro_commit run (including the 1/4/16
+#      shard-count sweep; the committed baseline's rows and sizes)
+#      must run to completion, then tools/perfdiff.py gates the deltas
+#      against the committed baseline — FATALLY: a ns/commit regression
+#      beyond JANUS_PERF_THRESHOLD percent (default 75, wide because
+#      one run is noisy) or a retry-ratio increase beyond
 #      JANUS_RETRY_THRESHOLD (default 1.5) fails the stage;
 #   9. service soak: bounded `janus serve` runs under a chaos plan
 #      with client-coordinate clauses (sheds, injected throws) on
@@ -195,13 +195,15 @@ HEAT_TRACE="$REPO_ROOT/build/ci_trace_heat.json"
   --threads 4 --top 5 --by-object --trace-out "$HEAT_TRACE" | tail -6
 python3 "$REPO_ROOT/tools/check_trace.py" "$HEAT_TRACE"
 
-echo "== [8/10] perf smoke (micro_commit --quick, incl. shard sweep) =="
-"$REPO_ROOT/build/bench/micro_commit" --quick \
+echo "== [8/10] perf smoke (full micro_commit, incl. shard sweep) =="
+# A full run: the same rows and run sizes as the committed baseline
+# (a quick run has fewer, smaller rows and would compare unlike sizes).
+"$REPO_ROOT/build/bench/micro_commit" \
   --json-out="$REPO_ROOT/build/BENCH_micro_commit_smoke.json" >/dev/null
 echo "perf smoke: completed (see build/BENCH_micro_commit_smoke.json)"
-# Fatal perf diff against the committed trajectory baseline. The quick
-# run is noisy (and shorter than the committed full run), so the
-# throughput threshold is wide by default; the retry-ratio gate is
+# Fatal perf diff against the committed trajectory baseline. A single
+# run is noisy, so the throughput threshold is wide by default; the
+# retry-ratio gate is
 # largely immune to machine speed and stays tight. Override per
 # machine: JANUS_PERF_THRESHOLD (percent) / JANUS_RETRY_THRESHOLD
 # (absolute retries-per-commit delta).

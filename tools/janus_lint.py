@@ -22,18 +22,16 @@ correctness argument depends on but that no compiler checks:
      (DESIGN.md §11.2). A bare read races recycleShardStates().
 
   R3 lock-hierarchy
-     The documented hierarchy is single-level: OrderMutex and
-     CommitMutex are both roots and must never nest (waitForTurn blocks
-     on a condition variable under OrderMutex while committers need
-     CommitMutex to advance the clock — nesting either way deadlocks).
-     Shard mutexes (detector caches) are leaves acquired alone. The
-     rule flags any guard over a tracked mutex while another tracked
-     guard is still in scope, and any manual .lock()/.unlock() on them
-     (RAII only). Exception: the sharded runtime's *per-shard* commit
-     mutexes (indexed `Shards[i].CommitMutex`) follow the documented
-     multi-lock protocol — ascending acquire, reverse release
-     (DESIGN.md §11.3) — which no single RAII guard can express; the
-     indexed form is therefore exempt from the manual-lock check.
+     The documented hierarchy is single-level: CommitMutex is the
+     root, and shard mutexes (detector caches) are leaves acquired
+     alone. The rule flags any guard over a tracked mutex while
+     another tracked guard is still in scope, and any manual
+     .lock()/.unlock() on them (RAII only). Exception: the sharded
+     runtime's *per-shard* commit mutexes (indexed
+     `Shards[i].CommitMutex`) follow the documented multi-lock
+     protocol — ascending acquire, reverse release (DESIGN.md §11.3)
+     — which no single RAII guard can express; the indexed form is
+     therefore exempt from the manual-lock check.
 
   R4 obs-gating
      `->span(`, `->instant(` and latency-histogram `.record(` calls are
@@ -75,9 +73,9 @@ GUARD_DECL = re.compile(
     r"\bstd::(?:lock_guard|unique_lock|scoped_lock|shared_lock)\s*<[^>]*>\s*"
     r"\w+\s*\(\s*([\w.\[\]\->]+)\s*[),]"
 )
-# The documented hierarchy roots (ShardedRuntime.h). Shard mutexes are
+# The documented hierarchy root (ShardedRuntime.h). Shard mutexes are
 # leaves; matching plain "Mutex" members through S./S-> catches them.
-HIERARCHY = ("CommitMutex", "OrderMutex")
+HIERARCHY = ("CommitMutex",)
 FUNC_START = re.compile(r"^[A-Za-z_~].*\(")
 ALLOW = re.compile(r"JANUS_LINT_ALLOW\((\w[\w-]*)\)\s*:\s*\S")
 
